@@ -82,7 +82,7 @@ pub use pipeline::{
     Simulated, TechmapReport, VerifyReport,
 };
 pub use pl_lint::{LintOptions, LintReport};
-pub use pl_sim::{QueueKind, SweepRecovery};
+pub use pl_sim::SweepRecovery;
 pub use source::{
     lcg_vectors, random_netlist, random_netlist_draw, CircuitSource, Lcg, RandomSpec,
 };

@@ -71,7 +71,7 @@ use pl_core::PlNetlist;
 use pl_lint::{LintOptions, LintReport};
 use pl_netlist::blif::BlifNote;
 use pl_netlist::Netlist;
-use pl_sim::{DelayModel, LatencyStats, QueueKind, ResumableOptions, SweepRecovery};
+use pl_sim::{DelayModel, LatencyStats, ResumableOptions, SweepRecovery};
 use pl_techmap::{map_with_memo, MapMemo, MapOptions, MapReuseStats, ReusePlan};
 
 use crate::error::FlowError;
@@ -96,11 +96,6 @@ pub struct FlowOptions {
     /// Worker threads for the simulate stage's variant sweep (`0` = one
     /// per core). Results are bit-identical at any value.
     pub jobs: usize,
-    /// Event-queue backend for every simulator the simulate stage builds
-    /// (binary heap or calendar/ladder queue). A pure implementation
-    /// choice: outputs, latencies and stream outcomes are bit-identical
-    /// across kinds; only the queue-operation cost profile changes.
-    pub queue: QueueKind,
     /// When set, the simulate stage runs the *streamed* protocol instead
     /// of the per-vector latency protocol: each variant's vector stream
     /// goes through [`pl_sim::parallel::sweep_pipelined`] in windows of
@@ -172,7 +167,6 @@ impl Default for FlowOptions {
             delays: DelayModel::default(),
             verify: true,
             jobs: 1,
-            queue: QueueKind::default(),
             window: None,
             lanes: None,
             checkpoint_dir: None,
@@ -429,8 +423,6 @@ pub struct SimReport {
     pub vectors: usize,
     /// Worker threads used for the variant sweep.
     pub jobs: usize,
-    /// Event-queue backend the stage's simulators scheduled through.
-    pub queue: QueueKind,
     /// Pipelined-window size when the streamed protocol ran
     /// (see [`FlowOptions::window`]); `None` for the per-vector protocol.
     pub window: Option<usize>,
@@ -857,7 +849,6 @@ impl Pipeline {
         let report = SimReport {
             vectors: self.opts.vectors,
             jobs: self.opts.jobs,
-            queue: self.opts.queue,
             window: self.opts.window,
             lanes: self.opts.lanes,
             recovery_plain: None,
@@ -876,21 +867,9 @@ impl Pipeline {
             }
             let sweep = |pl: &PlNetlist| {
                 if lanes == 64 {
-                    pl_sim::sweep_streams_batch_with_queue(
-                        pl,
-                        &self.opts.delays,
-                        &subs,
-                        self.opts.jobs,
-                        self.opts.queue,
-                    )
+                    pl_sim::sweep_streams_batch(pl, &self.opts.delays, &subs, self.opts.jobs)
                 } else {
-                    pl_sim::sweep_streams_with_queue(
-                        pl,
-                        &self.opts.delays,
-                        &subs,
-                        self.opts.jobs,
-                        self.opts.queue,
-                    )
+                    pl_sim::sweep_streams(pl, &self.opts.delays, &subs, self.opts.jobs)
                 }
             };
             let reassemble = |outs: &[pl_sim::StreamOutcome]| -> Vec<Vec<bool>> {
@@ -960,7 +939,7 @@ impl Pipeline {
         }
         let variants: Vec<&PlNetlist> = std::iter::once(&ee.plain).chain(ee.ee.as_ref()).collect();
         let results = pl_sim::parallel::scatter_gather(self.opts.jobs, &variants, |_, pl| {
-            pl_sim::measure_latency_on_with_queue(pl, &self.opts.delays, &inputs, self.opts.queue)
+            pl_sim::measure_latency_on(pl, &self.opts.delays, &inputs)
         });
         let mut measured = Vec::with_capacity(results.len());
         for r in results {
@@ -1022,7 +1001,6 @@ impl Pipeline {
                     &ResumableOptions {
                         window,
                         jobs: self.opts.jobs,
-                        queue: self.opts.queue,
                         resume,
                         max_retries: self
                             .opts
@@ -1033,14 +1011,8 @@ impl Pipeline {
                 Ok((out.outcome, Some(out.recovery)))
             }
             None => {
-                let s = pl_sim::parallel::sweep_pipelined_with_queue(
-                    pl,
-                    &self.opts.delays,
-                    inputs,
-                    window,
-                    self.opts.jobs,
-                    self.opts.queue,
-                )?;
+                let s =
+                    pl_sim::sweep_pipelined(pl, &self.opts.delays, inputs, window, self.opts.jobs)?;
                 Ok((s, None))
             }
         }

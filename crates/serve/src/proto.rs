@@ -19,13 +19,22 @@
 //! | `0x84` | ShutdownOk   |
 //! | `0xE0` | Error        |
 //!
-//! Every other kind byte is rejected typed. Unknown flag bits, queue
-//! bytes and option tags are likewise rejected rather than ignored, so
-//! a skewed client cannot silently get different semantics.
+//! Every other kind byte is rejected typed. Unknown flag bits and
+//! option tags are likewise rejected rather than ignored, so a skewed
+//! client cannot silently get different semantics.
+//!
+//! # Request options layout
+//!
+//! `vectors u64 | seed u64 | jobs u64 | lut_size u64 | threshold f64 bits
+//! | flags u8 | window opt | lanes opt`, where an opt is a `0` byte
+//! (`None`) or a `1` byte followed by a `u64`. The earlier layout carried
+//! an event-queue byte between `flags` and `window`; a frame in that
+//! layout fails to decode with a typed [`ServeError::Request`] (pinned
+//! by `old_layout_queue_byte_is_rejected` below).
 
 use crate::error::ServeError;
 use crate::wire::{push_string, Cursor};
-use pl_flow::{FlowOptions, QueueKind};
+use pl_flow::FlowOptions;
 use pl_sim::Fnv64;
 
 /// Request kind bytes.
@@ -143,8 +152,6 @@ pub struct RequestOptions {
     pub optimize: bool,
     /// Skip the lint stages.
     pub no_lint: bool,
-    /// Event-queue implementation.
-    pub queue: QueueKind,
     /// Streamed protocol window (`None` = per-vector).
     pub window: Option<usize>,
     /// Lane width (`None` = scalar; validation enforces `{1, 64}`).
@@ -164,7 +171,6 @@ impl Default for RequestOptions {
             verify: false,
             optimize: false,
             no_lint: false,
-            queue: flow.queue,
             window: None,
             lanes: None,
         }
@@ -185,7 +191,6 @@ impl RequestOptions {
             ee_enabled: self.ee,
             verify: self.verify,
             optimize: self.optimize,
-            queue: self.queue,
             window: self.window,
             lanes: self.lanes,
             ..FlowOptions::default()
@@ -205,7 +210,6 @@ impl RequestOptions {
         h.mix(self.lut_size as u64);
         h.mix(self.threshold.to_bits());
         h.mix(u64::from(self.flags()));
-        h.mix(u64::from(queue_byte(self.queue)));
         mix_opt(&mut h, self.window);
         mix_opt(&mut h, self.lanes);
         h.finish()
@@ -225,7 +229,6 @@ impl RequestOptions {
         out.extend_from_slice(&(self.lut_size as u64).to_le_bytes());
         out.extend_from_slice(&self.threshold.to_bits().to_le_bytes());
         out.push(self.flags());
-        out.push(queue_byte(self.queue));
         encode_opt(out, self.window);
         encode_opt(out, self.lanes);
     }
@@ -242,15 +245,6 @@ impl RequestOptions {
                 message: format!("unknown option flag bits {:#04x}", flags & !0b1111),
             });
         }
-        let queue = match c.u8("queue")? {
-            0 => QueueKind::Heap,
-            1 => QueueKind::Ladder,
-            other => {
-                return Err(ServeError::Request {
-                    message: format!("unknown queue byte {other}"),
-                });
-            }
-        };
         let window = decode_opt(c, "window")?;
         let lanes = decode_opt(c, "lanes")?;
         Ok(RequestOptions {
@@ -263,17 +257,9 @@ impl RequestOptions {
             verify: flags & 2 != 0,
             optimize: flags & 4 != 0,
             no_lint: flags & 8 != 0,
-            queue,
             window,
             lanes,
         })
-    }
-}
-
-fn queue_byte(q: QueueKind) -> u8 {
-    match q {
-        QueueKind::Heap => 0,
-        QueueKind::Ladder => 1,
     }
 }
 
@@ -751,6 +737,66 @@ mod tests {
             Request::decode(kind, &payload),
             Err(ServeError::Request { .. })
         ));
+    }
+
+    /// Encodes `options` in the earlier request-options layout, which
+    /// carried an event-queue selector byte (0 or 1) after `flags`.
+    fn encode_options_plus_queue_byte(options: &RequestOptions, queue: u8, out: &mut Vec<u8>) {
+        let mut current = Vec::new();
+        options.encode(&mut current);
+        let flags_at = 5 * 8;
+        out.extend_from_slice(&current[..=flags_at]);
+        out.push(queue);
+        out.extend_from_slice(&current[flags_at + 1..]);
+    }
+
+    #[test]
+    fn old_layout_queue_byte_is_rejected() {
+        let designs = [
+            DesignSpec::Spec("b01".into()),
+            DesignSpec::BlifText {
+                name: "t".into(),
+                text: ".model t\n.end\n".into(),
+            },
+        ];
+        let edit_lists: [&[&str]; 3] =
+            [&[], &["table:n8:0x6"], &["remove:n9", "table:n8:0x6", "x"]];
+        let mut checked = 0;
+        for design in &designs {
+            for queue in [0u8, 1] {
+                for window in [None, Some(1), Some(3), Some(usize::MAX)] {
+                    for lanes in [None, Some(1), Some(64)] {
+                        let options = RequestOptions {
+                            window,
+                            lanes,
+                            ..sample_options()
+                        };
+                        let mut compile = Vec::new();
+                        design.encode(&mut compile);
+                        encode_options_plus_queue_byte(&options, queue, &mut compile);
+                        let mut frames = vec![(REQ_COMPILE, compile.clone())];
+                        for edits in edit_lists {
+                            let mut eco = compile.clone();
+                            eco.extend_from_slice(&(edits.len() as u64).to_le_bytes());
+                            for e in edits {
+                                push_string(&mut eco, e);
+                            }
+                            frames.push((REQ_ECO, eco));
+                        }
+                        for (kind, payload) in frames {
+                            let got = Request::decode(kind, &payload);
+                            assert!(
+                                matches!(got, Err(ServeError::Request { .. })),
+                                "queue={queue} window={window:?} lanes={lanes:?} kind={kind:#04x}: \
+                                 old layout decoded to {got:?}"
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 2 * 2 * 4 * 3 * 4);
     }
 
     #[test]

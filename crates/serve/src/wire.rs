@@ -11,7 +11,7 @@
 //! kind    1 byte    request/response discriminator (see proto)
 //! length  4 bytes   payload length, little-endian, <= MAX_FRAME
 //! payload length bytes
-//! crc32   4 bytes   IEEE CRC32 of the payload
+//! crc32   4 bytes   IEEE CRC32 of the payload (pl_sim::checkpoint::wire::crc32)
 //! ```
 //!
 //! Payloads are decoded through [`Cursor`], which bounds every length
@@ -20,6 +20,7 @@
 //! here from day one.
 
 use crate::error::ServeError;
+use pl_sim::checkpoint::wire::crc32;
 use std::io::{Read, Write};
 
 /// Frame magic: four bytes so a stray HTTP request or checkpoint file
@@ -30,21 +31,6 @@ pub const MAGIC: [u8; 4] = *b"PLD1";
 /// largest ITC'99 design is well under 1 MiB) while keeping a hostile
 /// length field from requesting a multi-gigabyte allocation.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
-
-/// IEEE CRC32 (reflected, polynomial `0xEDB8_8320`) — the checkpoint
-/// wire format's checksum, reimplemented because that helper is crate
-/// private. Pinned by a check-value test below.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Frames and writes one message.
 ///

@@ -20,12 +20,6 @@
 //! pass emits window-boundary checkpoints and workers replay the windows
 //! in full behind it.
 //!
-//! Checkpoints are **queue-kind-portable**: the in-flight event queue is
-//! canonicalized to a sorted `(tick, seq)` event list regardless of the
-//! source simulator's [`crate::queue::QueueKind`], so a snapshot taken on
-//! a heap-engine simulator resumes bit-identically on a ladder-engine one
-//! and vice versa (the restoring simulator keeps its own backend).
-//!
 //! What is deliberately *not* captured: the waveform trace
 //! ([`PlSimulator::enable_tracing`] recordings are a debugging artifact,
 //! not simulation state — [`PlSimulator::restore`] clears any recorded

@@ -111,10 +111,11 @@ const SEC_GATES: (u8, &str) = (5, "GATES");
 const SEC_RECORDS: (u8, &str) = (6, "RECORDS");
 
 /// CRC32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the checksum
-/// of every section and of the whole file. Detects all burst errors of
-/// ≤ 32 bits, hence every single-byte corruption.
+/// of every section and of the whole file, and of every `pld` protocol
+/// frame. Detects all burst errors of ≤ 32 bits, hence every single-byte
+/// corruption.
 #[must_use]
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+pub fn crc32(bytes: &[u8]) -> u32 {
     const TABLE: [u32; 256] = {
         let mut table = [0u32; 256];
         let mut i = 0;

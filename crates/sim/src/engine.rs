@@ -17,34 +17,13 @@
 //!   ([`crate::delay::TICKS_PER_NS`]) quantized once from the [`DelayModel`]
 //!   via [`DelayModel::to_ticks`]. Tick keys compare exactly; there is no
 //!   `f64::total_cmp` heap ordering and no accumulated rounding drift.
-//! * **Pluggable event queue** — pending events live in a
-//!   [`crate::queue::EventQueue`] over packed `(tick, seq)` keys (`seq`
-//!   makes the order total and deterministic), enum-dispatched over two
-//!   backends selected at construction
-//!   ([`PlSimulator::with_queue`] / [`crate::queue::QueueKind`]):
-//!
-//!   * `Heap` (the default) — a flat `Vec`-backed binary min-heap,
-//!     O(log n) per operation, fully general, and free of steady-state
-//!     allocation (capacity is retained across rounds; the ladder trades
-//!     that for small per-bucket allocations).
-//!   * `Ladder` — a calendar/ladder queue bucketed by integer tick with
-//!     FIFO (`seq`) order inside buckets and automatic refinement /
-//!     resize rungs. Amortized O(1) push/pop. It wins when the pending
-//!     set is large and the tick distribution is dense and
-//!     near-monotonic — exactly what this engine produces, since every
-//!     scheduled event lies at most one maximum component delay
-//!     (~3.1 ns on the default model) ahead of the current time, and
-//!     the larger ITC'99 designs keep hundreds of events in flight. For
-//!     tiny designs (tens of events pending) the heap's lower constant
-//!     factor wins instead; `BENCH_queue.json` tracks the measured
-//!     crossover on streamed b14/b15.
-//!
-//!   The backend is an implementation detail, never semantics: both pop
-//!   in exactly ascending `(tick, seq)` order, results are bit-identical
-//!   (differentially pinned across the whole equivalence suite), and
-//!   [`crate::SimCheckpoint`]s canonicalize the in-flight queue to a
-//!   sorted event list, so a checkpoint taken on one backend resumes on
-//!   the other.
+//! * **One event queue** — pending events live in a
+//!   [`crate::queue::EventQueue`], a binary min-heap over packed
+//!   `(tick, seq)` keys (`seq` makes the order total and deterministic:
+//!   same-tick events pop FIFO). O(log n) per operation, and free of
+//!   steady-state allocation (capacity is retained across rounds).
+//!   [`crate::SimCheckpoint`]s store the in-flight queue as a sorted
+//!   event list, not the heap's internal layout.
 //! * **CSR adjacency** — all topology questions go through
 //!   [`pl_core::PlAdjacency`]: per-gate contiguous slices of pin-indexed
 //!   data-in arcs, ack in-arcs, and out-arcs pre-split into value-carrying
@@ -101,7 +80,7 @@ use pl_core::{PlAdjacency, PlArcId, PlArcKind, PlGateId, PlNetlist};
 use crate::delay::{ticks_to_ns, DelayModel, TickDelays};
 use crate::error::SimError;
 use crate::lane::LaneWord;
-use crate::queue::{EventQueue, QueueKind};
+use crate::queue::EventQueue;
 
 /// Result of simulating one input vector to a stable output word.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,7 +136,7 @@ pub(crate) enum EventKind<L: LaneWord = bool> {
 /// One canonicalized in-flight event as a checkpoint stores it. The live
 /// queue itself is a [`crate::queue::EventQueue`] over `(key, kind)`
 /// pairs; this struct only exists so [`crate::SimCheckpoint`] can carry a
-/// queue-kind-portable sorted event list.
+/// canonical sorted event list.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Event<L: LaneWord = bool> {
     /// `(tick << 64) | seq` — a strict total order (seq is unique).
@@ -245,29 +224,12 @@ pub type BatchSimulator<'a> = LaneSimulator<'a, u64>;
 
 impl<'a, L: LaneWord> LaneSimulator<'a, L> {
     /// Prepares a simulator: checks structural liveness, freezes the flat
-    /// adjacency, and places the initial marking. Events schedule through
-    /// the default [`QueueKind::Heap`] backend; use
-    /// [`PlSimulator::with_queue`] to select another.
+    /// adjacency, and places the initial marking.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Structural`] if the netlist is not live.
     pub fn new(pl: &'a PlNetlist, delays: DelayModel) -> Result<Self, SimError> {
-        Self::with_queue(pl, delays, QueueKind::default())
-    }
-
-    /// [`PlSimulator::new`] with an explicit event-queue backend. The
-    /// backend is a pure implementation choice — simulation results are
-    /// bit-identical across kinds (see [`crate::queue`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Structural`] if the netlist is not live.
-    pub fn with_queue(
-        pl: &'a PlNetlist,
-        delays: DelayModel,
-        queue: QueueKind,
-    ) -> Result<Self, SimError> {
         pl.check_pins()?;
         pl_core::marked::check_liveness(pl)?;
         let adj = pl.adjacency();
@@ -281,7 +243,7 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
             now: 0,
             seq: 0,
             events: 0,
-            queue: EventQueue::new(queue),
+            queue: EventQueue::new(),
             tokens: pl.arcs().iter().map(pl_core::PlArc::init_tokens).collect(),
             values: pl.arcs().iter().map(|a| L::splat(a.init_value())).collect(),
             pin_tokens: vec![0; n],
@@ -339,12 +301,6 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
     #[must_use]
     pub fn delay_model(&self) -> &DelayModel {
         &self.delays
-    }
-
-    /// The event-queue backend this simulator schedules through.
-    #[must_use]
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
     }
 
     /// Number of completed vectors.

@@ -14,13 +14,9 @@
 //!
 //!   The engine core is integer-timed: events are keyed on `u64`
 //!   femtosecond ticks ([`TICKS_PER_NS`], quantized once via
-//!   [`DelayModel::to_ticks`]) in a pluggable [`queue::EventQueue`]
-//!   ordered by `(tick, seq)` — a binary min-heap by default
-//!   (steady-state allocation-free: capacity is retained across rounds),
-//!   or a calendar/ladder queue ([`QueueKind::Ladder`], amortized O(1)
-//!   queue ops on the engine's dense near-monotonic schedules, at the
-//!   cost of small per-bucket allocations) selected via
-//!   [`PlSimulator::with_queue`], bit-identical results either way;
+//!   [`DelayModel::to_ticks`]) in one binary min-heap
+//!   ([`queue::EventQueue`]) ordered by `(tick, seq)` (steady-state
+//!   allocation-free: capacity is retained across rounds);
 //!   topology queries go through the frozen CSR adjacency
 //!   ([`pl_core::PlAdjacency`]: pin-indexed data-in arcs, ack in-arcs,
 //!   out-arcs pre-split into value/ack lists); and firing readiness is
@@ -64,9 +60,9 @@
 //! per-lane; see [`lane`] and the engine module docs for the invariants.
 //! [`BatchSimulator::run_lanes`] packs up to 64 scalar streams, runs them
 //! in lockstep, and unpacks per-lane outcomes that are bit-identical,
-//! vector for vector, to 64 sequential scalar runs. Batch sweeps
-//! ([`sweep_streams_batch`], [`sweep_sharded_batch`]) scatter whole
-//! 64-stream blocks across workers.
+//! vector for vector, to 64 sequential scalar runs. The batch sweep
+//! ([`sweep_streams_batch`]) scatters whole 64-stream blocks across
+//! workers.
 //!
 //! # Example
 //!
@@ -109,16 +105,11 @@ pub use engine::{BatchSimulator, LaneSimulator, PlSimulator, StreamOutcome, Vect
 pub use error::SimError;
 pub use lane::{pack_lanes, LaneWord};
 pub use parallel::{
-    scatter_gather, sweep_pipelined, sweep_pipelined_with_queue, sweep_resumable,
-    sweep_resumable_with_faults, sweep_sharded, sweep_sharded_batch,
-    sweep_sharded_batch_with_queue, sweep_sharded_with_queue, sweep_streams, sweep_streams_batch,
-    sweep_streams_batch_with_queue, sweep_streams_with_queue, FaultPlan, ResumableOptions,
-    ResumableOutcome, SweepRecovery, WindowFailure,
+    scatter_gather, sweep_pipelined, sweep_resumable, sweep_resumable_with_faults, sweep_sharded,
+    sweep_streams, sweep_streams_batch, FaultPlan, ResumableOptions, ResumableOutcome,
+    SweepRecovery, WindowFailure,
 };
-pub use queue::{EventQueue, QueueKind};
+pub use queue::EventQueue;
 pub use reference::ReferenceSimulator;
-pub use stats::{
-    measure_latency, measure_latency_on, measure_latency_on_with_queue, random_vectors,
-    LatencyStats,
-};
+pub use stats::{measure_latency, measure_latency_on, random_vectors, LatencyStats};
 pub use sync::{verify_equivalence, Mismatch, SyncSimulator};

@@ -41,19 +41,12 @@
 //!   bounded budget before degrading to in-process execution — all while
 //!   staying bit-identical to [`PlSimulator::run_stream`].
 //!
-//! The independent-stream shapes also come in **batch** variants
-//! ([`sweep_streams_batch`], [`sweep_sharded_batch`]) that scatter whole
-//! 64-stream blocks, each block marched through a single
-//! [`BatchSimulator`] event flow with `u64` lane words — the unit of
-//! parallel work becomes 64 vectors instead of one, multiplying the
-//! throughput of both levels (threads × lanes) while staying
-//! bit-identical to the scalar sweeps.
-//!
-//! Every sweep shape also has a `_with_queue` variant
-//! ([`sweep_streams_with_queue`], [`sweep_sharded_with_queue`],
-//! [`sweep_pipelined_with_queue`]) selecting the event-queue backend
-//! ([`crate::queue::QueueKind`]) of every simulator involved — a pure
-//! cost-profile choice, results are backend-invariant.
+//! The independent-stream shape also comes in a **batch** variant
+//! ([`sweep_streams_batch`]) that scatters whole 64-stream blocks, each
+//! block marched through a single [`BatchSimulator`] event flow with
+//! `u64` lane words — the unit of parallel work becomes 64 vectors
+//! instead of one, multiplying the throughput of both levels (threads ×
+//! lanes) while staying bit-identical to the scalar sweep.
 //!
 //! Determinism is structural, not incidental: workers only *pull* work
 //! (item indices from an atomic counter, or checkpointed windows from a
@@ -78,7 +71,6 @@ use crate::checkpoint::SimCheckpoint;
 use crate::delay::{ticks_to_ns, DelayModel};
 use crate::engine::{BatchSimulator, PlSimulator, StreamOutcome};
 use crate::error::SimError;
-use crate::queue::QueueKind;
 
 pub mod resume;
 
@@ -183,28 +175,8 @@ pub fn sweep_streams<S>(
 where
     S: AsRef<[Vec<bool>]> + Sync,
 {
-    sweep_streams_with_queue(pl, delays, streams, jobs, QueueKind::default())
-}
-
-/// [`sweep_streams`] with an explicit event-queue backend for the worker
-/// simulators. The backend never changes results (see [`crate::queue`]),
-/// only the queue-operation cost profile.
-///
-/// # Errors
-///
-/// Same conditions as [`sweep_streams`].
-pub fn sweep_streams_with_queue<S>(
-    pl: &PlNetlist,
-    delays: &DelayModel,
-    streams: &[S],
-    jobs: usize,
-    queue: QueueKind,
-) -> Result<Vec<StreamOutcome>, SimError>
-where
-    S: AsRef<[Vec<bool>]> + Sync,
-{
     scatter_gather(jobs, streams, |_, stream| {
-        PlSimulator::with_queue(pl, delays.clone(), queue)?.run_stream(stream.as_ref())
+        PlSimulator::new(pl, delays.clone())?.run_stream(stream.as_ref())
     })
     .into_iter()
     .collect()
@@ -237,30 +209,9 @@ pub fn sweep_sharded(
     shard_len: usize,
     jobs: usize,
 ) -> Result<StreamOutcome, SimError> {
-    sweep_sharded_with_queue(pl, delays, vectors, shard_len, jobs, QueueKind::default())
-}
-
-/// [`sweep_sharded`] with an explicit event-queue backend for the worker
-/// simulators (results are backend-invariant).
-///
-/// # Errors
-///
-/// Propagates the first failing shard's error, by shard index.
-///
-/// # Panics
-///
-/// Panics if `shard_len` is zero.
-pub fn sweep_sharded_with_queue(
-    pl: &PlNetlist,
-    delays: &DelayModel,
-    vectors: &[Vec<bool>],
-    shard_len: usize,
-    jobs: usize,
-    queue: QueueKind,
-) -> Result<StreamOutcome, SimError> {
     assert!(shard_len > 0, "shard_len must be at least 1");
     let shards: Vec<&[Vec<bool>]> = vectors.chunks(shard_len).collect();
-    let outcomes = sweep_streams_with_queue(pl, delays, &shards, jobs, queue)?;
+    let outcomes = sweep_streams(pl, delays, &shards, jobs)?;
     let mut merged = StreamOutcome {
         outputs: Vec::with_capacity(vectors.len()),
         makespan: 0.0,
@@ -296,96 +247,16 @@ pub fn sweep_streams_batch<S>(
 where
     S: AsRef<[Vec<bool>]> + Sync,
 {
-    sweep_streams_batch_with_queue(pl, delays, streams, jobs, QueueKind::default())
-}
-
-/// [`sweep_streams_batch`] with an explicit event-queue backend for the
-/// block simulators (results are backend-invariant).
-///
-/// # Errors
-///
-/// Same conditions as [`sweep_streams_batch`].
-pub fn sweep_streams_batch_with_queue<S>(
-    pl: &PlNetlist,
-    delays: &DelayModel,
-    streams: &[S],
-    jobs: usize,
-    queue: QueueKind,
-) -> Result<Vec<StreamOutcome>, SimError>
-where
-    S: AsRef<[Vec<bool>]> + Sync,
-{
     let blocks: Vec<&[S]> = streams.chunks(64).collect();
     let per_block = scatter_gather(jobs, &blocks, |_, block| {
         let lanes: Vec<&[Vec<bool>]> = block.iter().map(AsRef::as_ref).collect();
-        BatchSimulator::with_queue(pl, delays.clone(), queue)?.run_lanes(&lanes)
+        BatchSimulator::new(pl, delays.clone())?.run_lanes(&lanes)
     });
     let mut outcomes = Vec::with_capacity(streams.len());
     for block in per_block {
         outcomes.extend(block?);
     }
     Ok(outcomes)
-}
-
-/// [`sweep_sharded`] over the 64-lane batch engine: one long vector
-/// stream split into `shard_len`-sized shards, the shards marched 64 at
-/// a time through [`BatchSimulator::run_lanes`], and the shard outcomes
-/// merged vector-index-ordered exactly like [`sweep_sharded`] (outputs
-/// concatenated, makespan = slowest shard). Shard boundaries depend only
-/// on the stream length and `shard_len`, so the merged outcome is
-/// bit-identical to [`sweep_sharded`] for every `jobs` value.
-///
-/// # Errors
-///
-/// Propagates the first failing block's error, by block index.
-///
-/// # Panics
-///
-/// Panics if `shard_len` is zero.
-pub fn sweep_sharded_batch(
-    pl: &PlNetlist,
-    delays: &DelayModel,
-    vectors: &[Vec<bool>],
-    shard_len: usize,
-    jobs: usize,
-) -> Result<StreamOutcome, SimError> {
-    sweep_sharded_batch_with_queue(pl, delays, vectors, shard_len, jobs, QueueKind::default())
-}
-
-/// [`sweep_sharded_batch`] with an explicit event-queue backend for the
-/// block simulators (results are backend-invariant).
-///
-/// # Errors
-///
-/// Propagates the first failing block's error, by block index.
-///
-/// # Panics
-///
-/// Panics if `shard_len` is zero.
-pub fn sweep_sharded_batch_with_queue(
-    pl: &PlNetlist,
-    delays: &DelayModel,
-    vectors: &[Vec<bool>],
-    shard_len: usize,
-    jobs: usize,
-    queue: QueueKind,
-) -> Result<StreamOutcome, SimError> {
-    assert!(shard_len > 0, "shard_len must be at least 1");
-    let shards: Vec<&[Vec<bool>]> = vectors.chunks(shard_len).collect();
-    let outcomes = sweep_streams_batch_with_queue(pl, delays, &shards, jobs, queue)?;
-    let mut merged = StreamOutcome {
-        outputs: Vec::with_capacity(vectors.len()),
-        makespan: 0.0,
-        throughput: f64::INFINITY,
-    };
-    for o in outcomes {
-        merged.outputs.extend(o.outputs);
-        merged.makespan = merged.makespan.max(o.makespan);
-    }
-    if merged.makespan > 0.0 {
-        merged.throughput = merged.outputs.len() as f64 / merged.makespan;
-    }
-    Ok(merged)
 }
 
 /// One window of work handed from the pipelined sweep's leader to a
@@ -446,37 +317,13 @@ pub fn sweep_pipelined(
     window: usize,
     jobs: usize,
 ) -> Result<StreamOutcome, SimError> {
-    sweep_pipelined_with_queue(pl, delays, vectors, window, jobs, QueueKind::default())
-}
-
-/// [`sweep_pipelined`] with an explicit event-queue backend for the
-/// leader and every window-replay worker. Checkpoints are
-/// queue-kind-portable, so any backend combination would agree; using one
-/// kind throughout keeps the timing profile uniform. Results are
-/// backend-invariant.
-///
-/// # Errors
-///
-/// Same conditions as [`sweep_pipelined`].
-///
-/// # Panics
-///
-/// Panics if `window` is zero.
-pub fn sweep_pipelined_with_queue(
-    pl: &PlNetlist,
-    delays: &DelayModel,
-    vectors: &[Vec<bool>],
-    window: usize,
-    jobs: usize,
-    queue: QueueKind,
-) -> Result<StreamOutcome, SimError> {
     assert!(window > 0, "window must be at least 1");
     let n_windows = vectors.len().div_ceil(window);
     let jobs = effective_jobs(jobs, n_windows);
     // Building the leader first also validates the netlist: the workers'
     // own constructions below run the same deterministic checks and
     // therefore cannot fail once this one succeeded.
-    let mut leader = PlSimulator::with_queue(pl, delays.clone(), queue)?;
+    let mut leader = PlSimulator::new(pl, delays.clone())?;
     if jobs <= 1 || n_windows <= 1 {
         return leader.run_stream(vectors);
     }
@@ -496,7 +343,7 @@ pub fn sweep_pipelined_with_queue(
             let res_tx = res_tx.clone();
             let delays = delays.clone();
             scope.spawn(move || {
-                let mut sim = PlSimulator::with_queue(pl, delays, queue)
+                let mut sim = PlSimulator::new(pl, delays)
                     .expect("the leader already validated this netlist");
                 loop {
                     let task = {
@@ -898,18 +745,6 @@ mod tests {
         let batch = sweep_streams_batch(&pl, &delays, &one, 4).unwrap();
         let scalar = sweep_streams(&pl, &delays, &one, 1).unwrap();
         assert_eq!(batch[0].outputs, scalar[0].outputs);
-    }
-
-    #[test]
-    fn sharded_batch_matches_sharded_outputs_for_all_worker_counts() {
-        let pl = xor_netlist();
-        let delays = DelayModel::default();
-        let vecs = vectors(143, 0xC0DE);
-        let baseline = sweep_sharded(&pl, &delays, &vecs, 5, 1).unwrap();
-        for jobs in [1, 2, 4] {
-            let batch = sweep_sharded_batch(&pl, &delays, &vecs, 5, jobs).unwrap();
-            assert_eq!(batch.outputs, baseline.outputs, "jobs={jobs} diverged");
-        }
     }
 
     #[test]

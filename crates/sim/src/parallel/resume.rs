@@ -66,7 +66,6 @@ use crate::delay::{ticks_to_ns, DelayModel};
 use crate::engine::{PlSimulator, StreamOutcome};
 use crate::error::SimError;
 use crate::parallel::effective_jobs;
-use crate::queue::QueueKind;
 
 /// Magic bytes opening `sweep.meta` (distinct from the checkpoint
 /// magic, so the two file kinds can never be confused).
@@ -82,8 +81,6 @@ pub struct ResumableOptions {
     pub window: usize,
     /// Worker threads; `0` asks the OS ([`effective_jobs`]).
     pub jobs: usize,
-    /// Event-queue backend for the leader and every worker.
-    pub queue: QueueKind,
     /// `true` resumes an interrupted sweep already in the directory;
     /// `false` starts fresh and refuses a directory that has one.
     pub resume: bool,
@@ -97,7 +94,6 @@ impl Default for ResumableOptions {
         Self {
             window: 64,
             jobs: 0,
-            queue: QueueKind::default(),
             resume: false,
             max_retries: 2,
         }
@@ -534,7 +530,6 @@ type TaskResult = (u32, Result<WindowResult, String>);
 struct BatchCtx<'a> {
     pl: &'a PlNetlist,
     delays: &'a DelayModel,
-    queue: QueueKind,
     jobs: usize,
     max_retries: u32,
     faults: &'a FaultPlan,
@@ -564,7 +559,6 @@ fn run_batch(ctx: &BatchCtx<'_>, tasks: &[Task<'_>], base: &[usize]) -> Vec<Task
     }
     let BatchCtx {
         pl,
-        queue,
         jobs,
         max_retries,
         faults,
@@ -583,7 +577,7 @@ fn run_batch(ctx: &BatchCtx<'_>, tasks: &[Task<'_>], base: &[usize]) -> Vec<Task
             let (cursor, retry) = (&cursor, &retry);
             let delays = ctx.delays.clone();
             scope.spawn(move || {
-                let mut sim = PlSimulator::with_queue(pl, delays, queue)
+                let mut sim = PlSimulator::new(pl, delays)
                     .expect("the leader already validated this netlist");
                 loop {
                     let i = lock(retry)
@@ -770,7 +764,7 @@ pub fn sweep_resumable_with_faults(
 
     // Building the leader also validates the netlist, so worker-side
     // construction cannot fail once this succeeds.
-    let mut leader = PlSimulator::with_queue(pl, delays.clone(), opts.queue)?;
+    let mut leader = PlSimulator::new(pl, delays.clone())?;
 
     if let Some(first) = results.iter().position(Option::is_none) {
         // Restart the leader from the largest decodable boundary <= first;
@@ -850,7 +844,6 @@ pub fn sweep_resumable_with_faults(
                 &BatchCtx {
                     pl,
                     delays,
-                    queue: opts.queue,
                     jobs,
                     max_retries: opts.max_retries,
                     faults,
@@ -875,7 +868,7 @@ pub fn sweep_resumable_with_faults(
                         // Degrade: replay in-process. An error here is the
                         // deterministic simulation error the sequential
                         // run would hit — propagate it.
-                        let mut sim = PlSimulator::with_queue(pl, delays.clone(), opts.queue)?;
+                        let mut sim = PlSimulator::new(pl, delays.clone())?;
                         sim.restore(&t.checkpoint)?;
                         let r = sim.replay_window(t.vectors, t.start_round, &base)?;
                         recovery.degraded_windows += 1;

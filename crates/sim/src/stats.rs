@@ -7,7 +7,6 @@ use rand::{Rng, SeedableRng};
 use crate::delay::DelayModel;
 use crate::engine::PlSimulator;
 use crate::error::SimError;
-use crate::queue::QueueKind;
 
 /// Aggregate of per-vector latencies (ns).
 ///
@@ -132,23 +131,7 @@ pub fn measure_latency_on(
     delays: &DelayModel,
     vectors: &[Vec<bool>],
 ) -> Result<(Vec<Vec<bool>>, LatencyStats), SimError> {
-    measure_latency_on_with_queue(pl, delays, vectors, QueueKind::default())
-}
-
-/// [`measure_latency_on`] with an explicit event-queue backend for the
-/// measuring simulator. Outputs and latencies are backend-invariant (the
-/// backend only changes queue-operation cost, never the event schedule).
-///
-/// # Errors
-///
-/// Propagates simulator failures.
-pub fn measure_latency_on_with_queue(
-    pl: &PlNetlist,
-    delays: &DelayModel,
-    vectors: &[Vec<bool>],
-    queue: QueueKind,
-) -> Result<(Vec<Vec<bool>>, LatencyStats), SimError> {
-    let mut sim = PlSimulator::with_queue(pl, delays.clone(), queue)?;
+    let mut sim = PlSimulator::new(pl, delays.clone())?;
     let mut outputs = Vec::with_capacity(vectors.len());
     let mut lat = Vec::with_capacity(vectors.len());
     for v in vectors {

@@ -74,11 +74,6 @@ const SPEC: CliSpec = CliSpec {
             help: "stripe the vectors across 64 substreams and sweep them at lane width N: 1 = scalar engines, 64 = the word-parallel batch engine (outputs are bit-identical either way; prints a lane digest)",
         },
         OptSpec {
-            long: "--queue",
-            value: Some("KIND"),
-            help: "event-queue backend for simulation: heap (default) or ladder (calendar queue; results are bit-identical either way)",
-        },
-        OptSpec {
             long: "--checkpoint-dir",
             value: Some("DIR"),
             help: "make the streamed sweep crash-resumable: write window checkpoints and a completed-window journal under DIR (plain/ and ee/ subtrees; requires --window)",
@@ -335,11 +330,6 @@ const CLIENT_SPEC: CliSpec = CliSpec {
             help: "lane protocol at width N (1 or 64)",
         },
         OptSpec {
-            long: "--queue",
-            value: Some("KIND"),
-            help: "event-queue backend: heap (default) or ladder",
-        },
-        OptSpec {
             long: "--threshold",
             value: Some("T"),
             help: "EE cost threshold (requires --ee)",
@@ -456,9 +446,6 @@ fn main() -> ExitCode {
     opts.map.lut_size = args.value_or("--lut-size", opts.map.lut_size);
     if let Some(t) = args.value_opt::<f64>("--threshold") {
         opts.ee.cost_threshold = t;
-    }
-    if let Some(q) = args.value_opt::<pl_flow::QueueKind>("--queue") {
-        opts.queue = q;
     }
     opts.window = args.value_opt::<usize>("--window");
     opts.lanes = args.value_opt::<usize>("--lanes");
@@ -778,9 +765,6 @@ fn build_client_request(args: &pl_flow::cli::ParsedArgs) -> Result<pl_serve::Req
     if let Some(t) = args.value_opt::<f64>("--threshold") {
         options.threshold = t;
     }
-    if let Some(q) = args.value_opt::<pl_flow::QueueKind>("--queue") {
-        options.queue = q;
-    }
     options.ee = args.flag("--ee");
     options.verify = args.flag("--verify");
     options.optimize = args.flag("--optimize");
@@ -909,7 +893,7 @@ fn check_flag_consistency(
     } else {
         (Stage::Simulate, "simulate")
     };
-    let needs: [(&str, bool, Stage, &str); 17] = [
+    let needs: [(&str, bool, Stage, &str); 16] = [
         (
             "--lanes",
             args.get("--lanes").is_some(),
@@ -926,12 +910,6 @@ fn check_flag_consistency(
         (
             "--window",
             args.get("--window").is_some(),
-            Stage::Simulate,
-            "simulate",
-        ),
-        (
-            "--queue",
-            args.get("--queue").is_some(),
             Stage::Simulate,
             "simulate",
         ),
@@ -1144,8 +1122,8 @@ fn drive(
         return Ok(());
     }
     println!(
-        "[simulate]  {} vectors, {} job(s), {} queue  ({:.3}s)",
-        sim.report.vectors, sim.report.jobs, sim.report.queue, sim.report.secs,
+        "[simulate]  {} vectors, {} job(s)  ({:.3}s)",
+        sim.report.vectors, sim.report.jobs, sim.report.secs,
     );
     if let Some(lanes) = sim.report.lanes {
         // Lane protocol: the output words were reassembled from the 64

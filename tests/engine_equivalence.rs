@@ -424,188 +424,6 @@ fn checkpoint_and_pipelined_bit_identical_on_random_netlists() {
     }
 }
 
-// ---- ladder-vs-heap event-queue determinism ----------------------------
-//
-// The event-queue backend (`pl_sim::QueueKind`) must be a pure
-// implementation choice: for every netlist and vector schedule the
-// calendar/ladder queue produces outcomes bit-identical — outputs AND f64
-// latencies/makespans/timestamps compared exactly — to the binary-heap
-// backend, checkpoints are portable between backends in both directions,
-// and the pipelined sweep on the ladder reproduces the heap-sequential
-// stream at every worker count.
-
-use pl_sim::QueueKind;
-
-/// Per-vector fingerprint used by the cross-backend harnesses: outputs
-/// plus exact latency/timestamp bits.
-type VectorPrint = (Vec<bool>, u64, u64);
-
-fn run_vectors_fingerprint(sim: &mut PlSimulator<'_>, vecs: &[Vec<bool>]) -> Vec<VectorPrint> {
-    vecs.iter()
-        .map(|v| {
-            let r = sim.run_vector(v).expect("simulates");
-            (r.outputs, r.latency.to_bits(), r.completed_at.to_bits())
-        })
-        .collect()
-}
-
-/// Asserts the ladder backend reproduces the heap backend exactly on
-/// `pl`: per-vector (latency bits included) and streamed (makespan and
-/// throughput bits included).
-fn assert_queue_backends_agree(pl: &PlNetlist, vecs: &[Vec<bool>], context: &str) {
-    let delays = DelayModel::default();
-    let mut heap = PlSimulator::with_queue(pl, delays.clone(), QueueKind::Heap).expect("builds");
-    let mut ladder =
-        PlSimulator::with_queue(pl, delays.clone(), QueueKind::Ladder).expect("builds");
-    assert_eq!(heap.queue_kind(), QueueKind::Heap);
-    assert_eq!(ladder.queue_kind(), QueueKind::Ladder);
-    let hp = run_vectors_fingerprint(&mut heap, vecs);
-    let lp = run_vectors_fingerprint(&mut ladder, vecs);
-    assert_eq!(
-        hp, lp,
-        "{context}: per-vector runs diverged across backends"
-    );
-    assert_eq!(
-        heap.events_processed(),
-        ladder.events_processed(),
-        "{context}: dispatched-event counts diverged"
-    );
-
-    let mut heap = PlSimulator::with_queue(pl, delays.clone(), QueueKind::Heap).expect("builds");
-    let mut ladder = PlSimulator::with_queue(pl, delays, QueueKind::Ladder).expect("builds");
-    let hs = heap.run_stream(vecs).expect("streams");
-    let ls = ladder.run_stream(vecs).expect("streams");
-    // StreamOutcome's PartialEq covers outputs, makespan and throughput —
-    // an exact (bitwise f64) comparison.
-    assert_eq!(hs, ls, "{context}: streamed runs diverged across backends");
-}
-
-/// Asserts checkpoints are queue-kind-portable on `pl`: simulate a prefix
-/// mid-stream on `from`, snapshot, resume on a fresh `to`-backend
-/// simulator, and require the suffix to be bit-identical to the
-/// uninterrupted heap run.
-fn assert_checkpoint_crosses_backends(
-    pl: &PlNetlist,
-    vecs: &[Vec<bool>],
-    from: QueueKind,
-    to: QueueKind,
-    context: &str,
-) {
-    let delays = DelayModel::default();
-    let split = vecs.len() / 2;
-    let mut base = PlSimulator::new(pl, delays.clone()).expect("builds");
-    let reference = run_vectors_fingerprint(&mut base, vecs);
-
-    let mut source = PlSimulator::with_queue(pl, delays.clone(), from).expect("builds");
-    let prefix = run_vectors_fingerprint(&mut source, &vecs[..split]);
-    assert_eq!(
-        prefix,
-        reference[..split],
-        "{context}: {from} prefix diverged before the snapshot"
-    );
-    let ck = source.snapshot();
-
-    let mut resumed = PlSimulator::with_queue(pl, delays, to).expect("builds");
-    resumed.restore(&ck).expect("checkpoint crosses backends");
-    assert_eq!(resumed.queue_kind(), to, "restore must keep the backend");
-    let suffix = run_vectors_fingerprint(&mut resumed, &vecs[split..]);
-    assert_eq!(
-        suffix,
-        reference[split..],
-        "{context}: {from}->{to} resumed run diverged"
-    );
-}
-
-/// Ladder-vs-heap bit-identity across the full ITC'99 suite, plain + EE.
-#[test]
-fn ladder_queue_bit_identical_on_itc99_suite() {
-    for bench in pl_itc99::catalog() {
-        let (plain, ee) = itc99_netlists(bench.id);
-        let vecs = vectors(plain.input_gates().len(), 8, seed_for(bench.id, 0x1ADD));
-        assert_queue_backends_agree(&plain, &vecs, &format!("{} plain", bench.id));
-        assert_queue_backends_agree(&ee, &vecs, &format!("{} ee", bench.id));
-    }
-}
-
-/// Ladder-vs-heap bit-identity on randomized netlists.
-#[test]
-fn ladder_queue_bit_identical_on_random_netlists() {
-    let mut rng = Lcg::new(0x1ADD_E270_0000_0005);
-    let mut tested = 0;
-    while tested < 10 {
-        let Some(mapped) = random_mapped_netlist(&mut rng) else {
-            continue;
-        };
-        let plain = PlNetlist::from_sync(&mapped).expect("PL maps");
-        let ee = PlNetlist::from_sync(&mapped)
-            .expect("PL maps")
-            .with_early_evaluation(&EeOptions::default())
-            .into_netlist();
-        let vecs = vectors(mapped.inputs().len(), 10, rng.next_u64());
-        assert_queue_backends_agree(&plain, &vecs, "random plain");
-        assert_queue_backends_agree(&ee, &vecs, "random ee");
-        tested += 1;
-    }
-}
-
-/// Checkpoints snapshotted mid-stream on one backend resume bit-identically
-/// on the other, in both directions, plain + EE.
-#[test]
-fn checkpoints_are_queue_kind_portable() {
-    for id in ["b01", "b04", "b09", "b13"] {
-        let (plain, ee) = itc99_netlists(id);
-        let vecs = vectors(plain.input_gates().len(), 8, seed_for(id, 0xCEC4_1ADD));
-        for (netlist, label) in [(&plain, "plain"), (&ee, "ee")] {
-            assert_checkpoint_crosses_backends(
-                netlist,
-                &vecs,
-                QueueKind::Heap,
-                QueueKind::Ladder,
-                &format!("{id} {label}"),
-            );
-            assert_checkpoint_crosses_backends(
-                netlist,
-                &vecs,
-                QueueKind::Ladder,
-                QueueKind::Heap,
-                &format!("{id} {label}"),
-            );
-        }
-    }
-}
-
-/// The pipelined single-stream sweep on the ladder backend reproduces the
-/// heap-sequential `run_stream` bitwise at 1/2/4 workers.
-#[test]
-fn pipelined_sweep_on_ladder_matches_heap_run_stream() {
-    for id in ["b03", "b06", "b11", "b14"] {
-        let (plain, ee) = itc99_netlists(id);
-        let vecs = vectors(plain.input_gates().len(), 8, seed_for(id, 0x1ADD_9199));
-        let delays = DelayModel::default();
-        for (netlist, label) in [(&plain, "plain"), (&ee, "ee")] {
-            let baseline = PlSimulator::with_queue(netlist, delays.clone(), QueueKind::Heap)
-                .expect("builds")
-                .run_stream(&vecs)
-                .expect("streams");
-            for jobs in [1, 2, 4] {
-                let piped = pl_sim::sweep_pipelined_with_queue(
-                    netlist,
-                    &delays,
-                    &vecs,
-                    3,
-                    jobs,
-                    QueueKind::Ladder,
-                )
-                .unwrap_or_else(|e| panic!("{id} {label}: ladder pipeline failed: {e}"));
-                assert_eq!(
-                    piped, baseline,
-                    "{id} {label}: ladder pipelined jobs={jobs} diverged from heap run_stream"
-                );
-            }
-        }
-    }
-}
-
 // ---- word-parallel batch-engine determinism ----------------------------
 //
 // The 64-lane batch engine (`pl_sim::BatchSimulator`) must be a pure

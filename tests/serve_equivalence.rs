@@ -6,11 +6,12 @@
 //! malformed-frame class is rejected typed and the server survives.
 
 use pl_flow::{CircuitSource, EcoEdit, Pipeline};
-use pl_serve::wire::{crc32, write_frame, MAGIC};
+use pl_serve::wire::{write_frame, MAGIC};
 use pl_serve::{
     outputs_digest, Client, DesignSpec, DigestTriple, PldServer, Request, RequestOptions, Response,
     ServerConfig,
 };
+use pl_sim::checkpoint::wire::crc32;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
