@@ -32,6 +32,9 @@ pub enum PlError {
         /// The pin index.
         pin: u8,
     },
+    /// An early-evaluation master's efire reference is not an efire arc
+    /// into that master (e.g. the arc was deleted).
+    DanglingEfire(PlGateId),
     /// The underlying synchronous netlist failed validation.
     Netlist(NetlistError),
 }
@@ -59,6 +62,9 @@ impl fmt::Display for PlError {
                     f,
                     "gate {gate} pin {pin} has no driver and no constant tie-off"
                 )
+            }
+            PlError::DanglingEfire(g) => {
+                write!(f, "EE master {g} has no efire arc of its own")
             }
             PlError::Netlist(e) => write!(f, "netlist error: {e}"),
         }

@@ -310,13 +310,23 @@ impl PlNetlist {
     }
 
     /// Checks that every logic/output gate pin is either tied to a constant
-    /// or driven by exactly one data arc.
+    /// or driven by exactly one data arc, and that every early-evaluation
+    /// master's efire reference is an efire arc into that master.
     ///
     /// # Errors
     ///
-    /// Returns [`PlError::MissingPinDriver`] for the first floating pin.
+    /// Returns [`PlError::MissingPinDriver`] for the first floating pin,
+    /// [`PlError::DanglingEfire`] for the first miswired master.
     pub fn check_pins(&self) -> Result<(), PlError> {
         for (i, gate) in self.gates.iter().enumerate() {
+            if let Some(ee) = &gate.ee {
+                let own = self.arcs.get(ee.efire_arc.index()).is_some_and(|a| {
+                    a.kind == PlArcKind::Efire && a.dst == PlGateId::from_index(i)
+                });
+                if !own {
+                    return Err(PlError::DanglingEfire(PlGateId::from_index(i)));
+                }
+            }
             for (pin, cv) in gate.const_pins.iter().enumerate() {
                 if cv.is_some() {
                     continue;

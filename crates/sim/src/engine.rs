@@ -71,6 +71,14 @@
 //! the femtosecond quantization of the clock) are identical to the
 //! reference engine; `tests/engine_equivalence.rs` enforces this
 //! differentially on the ITC'99 suite and on randomized netlists.
+//!
+//! This engine runs the streamed, pipelined, checkpointed, batch and
+//! traced protocols. The per-vector latency protocol
+//! ([`crate::measure_latency_on`], [`crate::verify_equivalence`]) runs on
+//! [`crate::LatencySchedule`] instead, which evaluates the same firing
+//! rules as a static max-plus / min-max recurrence and is pinned to
+//! [`PlSimulator::run_vector`] tick for tick; this engine stays its
+//! differential oracle.
 
 use std::collections::VecDeque;
 
@@ -375,30 +383,6 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
     /// [`SimError::SafetyViolation`] / [`SimError::UnsoundTrigger`] indicate
     /// internal invariant breaches.
     pub fn run_vector(&mut self, inputs: &[L]) -> Result<VectorOutcome<L>, SimError> {
-        let mut outputs = Vec::new();
-        let (latency, completed_at) = self.run_vector_into(inputs, &mut outputs)?;
-        Ok(VectorOutcome {
-            outputs,
-            latency,
-            completed_at,
-        })
-    }
-
-    /// [`PlSimulator::run_vector`] writing the output word into a
-    /// caller-owned scratch buffer instead of allocating one — the
-    /// hot-loop primitive for digest/compare passes that run millions of
-    /// vectors and never keep the words. `out` is cleared first; its
-    /// capacity is reused across calls. Returns `(latency, completed_at)`
-    /// in ns, exactly the timing fields of [`VectorOutcome`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PlSimulator::run_vector`].
-    pub fn run_vector_into(
-        &mut self,
-        inputs: &[L],
-        out: &mut Vec<L>,
-    ) -> Result<(f64, f64), SimError> {
         debug_assert_eq!(self.record_horizon, 0, "run_vector collects records");
         let ports = self.pl.input_gates();
         if inputs.len() != ports.len() {
@@ -427,16 +411,19 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
             self.now = crate::queue::tick_of(key);
             self.dispatch(kind)?;
         }
-        out.clear();
-        out.reserve(self.records.len());
+        let mut outputs = Vec::with_capacity(self.records.len());
         let mut completed_at = start;
         for q in &mut self.records {
             let (v, t) = q.pop_front().expect("round_complete guarantees a record");
-            out.push(v);
+            outputs.push(v);
             completed_at = completed_at.max(t);
         }
         self.rounds += 1;
-        Ok((ticks_to_ns(completed_at - start), ticks_to_ns(completed_at)))
+        Ok(VectorOutcome {
+            outputs,
+            latency: ticks_to_ns(completed_at - start),
+            completed_at: ticks_to_ns(completed_at),
+        })
     }
 
     /// Streams vectors through the netlist *pipelined*: each vector is
@@ -1258,7 +1245,7 @@ mod tests {
                 .iter()
                 .map(|v| {
                     let r = sim.run_vector(v).unwrap();
-                    (r.outputs.clone(), r.latency.to_bits())
+                    (r.outputs, r.latency.to_bits(), r.completed_at.to_bits())
                 })
                 .collect::<Vec<_>>()
         };
@@ -1276,21 +1263,6 @@ mod tests {
         let mut sim = PlSimulator::new(&pl, DelayModel::default()).unwrap();
         assert_eq!(sim.run_vector(&[false]).unwrap().outputs, vec![false]);
         assert_eq!(sim.run_vector(&[true]).unwrap().outputs, vec![true]);
-    }
-
-    #[test]
-    fn run_vector_into_reuses_buffer_and_matches_run_vector() {
-        let pl = and_gate();
-        let mut sim_a = PlSimulator::new(&pl, DelayModel::default()).unwrap();
-        let mut sim_b = PlSimulator::new(&pl, DelayModel::default()).unwrap();
-        let mut scratch = Vec::new();
-        for ins in [[true, true], [true, false], [false, true], [true, true]] {
-            let r = sim_a.run_vector(&ins).unwrap();
-            let (latency, completed_at) = sim_b.run_vector_into(&ins, &mut scratch).unwrap();
-            assert_eq!(scratch, r.outputs);
-            assert_eq!(latency.to_bits(), r.latency.to_bits());
-            assert_eq!(completed_at.to_bits(), r.completed_at.to_bits());
-        }
     }
 
     /// Differential: new engine vs the retained pre-refactor baseline, with

@@ -4,6 +4,18 @@
 //! time between the presence of a stable input vector and a stable output
 //! word" (§4), for phased-logic netlists with and without early evaluation.
 //!
+//! * [`LatencySchedule`] runs the per-vector latency protocol — each
+//!   vector applied once the previous output word is complete, as Table 3
+//!   measures it — without an event queue. In that protocol every firing
+//!   node fires once per vector, so round `k`'s firing ticks follow a
+//!   max-plus recurrence over round `k − 1`'s (a min-max one at
+//!   early-evaluation masters: `Produce = min(normal, early)`), evaluated
+//!   as one pass per vector over a topological order of the token-free
+//!   arcs. [`measure_latency_on`] and [`verify_equivalence`] run on it;
+//!   its outputs, latencies and typed errors match consecutive
+//!   [`PlSimulator::run_vector`] calls tick for tick, and where the event
+//!   engine's outcome would hinge on a same-tick ordering it reports the
+//!   error (see [`schedule`] for the recurrence and the tie rules).
 //! * [`PlSimulator`] plays the marked-graph token game event-by-event under
 //!   a configurable [`DelayModel`] (Muller C-element, LUT4, latches, wires,
 //!   and the EE overhead C-element). Early-evaluation masters follow the
@@ -25,7 +37,10 @@
 //!   deliveries dispatch as a single batched queue event. See
 //!   [`reference`] for the retained pre-refactor engine that pins these
 //!   semantics differentially (`tests/engine_equivalence.rs`) and anchors
-//!   the speedup numbers in `BENCH_sim.json`.
+//!   the speedup numbers in `BENCH_sim.json`. The event engine is the one
+//!   engine for streamed, pipelined, checkpointed, batch and traced (VCD)
+//!   runs, and with [`crate::reference`] the differential oracle for
+//!   [`LatencySchedule`].
 //! * [`parallel`] scatter/gathers multi-vector sweeps across worker
 //!   threads — independent streams ([`sweep_streams`]), reset-per-shard
 //!   single streams ([`sweep_sharded`]), and the checkpoint-handoff
@@ -95,6 +110,7 @@ pub mod lane;
 pub mod parallel;
 pub mod queue;
 pub mod reference;
+pub mod schedule;
 mod stats;
 mod sync;
 pub mod trace;
@@ -111,5 +127,6 @@ pub use parallel::{
 };
 pub use queue::EventQueue;
 pub use reference::ReferenceSimulator;
+pub use schedule::LatencySchedule;
 pub use stats::{measure_latency, measure_latency_on, random_vectors, LatencyStats};
 pub use sync::{verify_equivalence, Mismatch, SyncSimulator};

@@ -55,8 +55,8 @@ use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicI64, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use pl_core::PlNetlist;
 
@@ -545,14 +545,59 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The batch's work queue: the next never-tried task, the retry stack,
+/// and how many claimed tasks are still being attempted.
+struct BatchQueue {
+    next: usize,
+    retry: Vec<usize>,
+    in_flight: usize,
+}
+
+impl BatchQueue {
+    /// Claims the next task, waiting while the queue is empty but an
+    /// attempt in flight may still push a retry. `None` means the batch
+    /// is drained: nothing queued and nothing in flight.
+    fn claim(queue: &Mutex<Self>, wake: &Condvar, tasks: usize) -> Option<usize> {
+        let mut q = lock(queue);
+        loop {
+            let task = q.retry.pop().or_else(|| {
+                (q.next < tasks).then(|| {
+                    q.next += 1;
+                    q.next - 1
+                })
+            });
+            if let Some(i) = task {
+                q.in_flight += 1;
+                return Some(i);
+            }
+            if q.in_flight == 0 {
+                return None;
+            }
+            q = wake.wait(q).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Ends an attempt at task `i`, queueing it for retry if asked.
+    fn finish(queue: &Mutex<Self>, wake: &Condvar, i: usize, retry: bool) {
+        let mut q = lock(queue);
+        if retry {
+            q.retry.push(i);
+        }
+        q.in_flight -= 1;
+        wake.notify_all();
+    }
+}
+
 /// Replays a batch of windows on up to `jobs` workers with retry.
 ///
-/// Workers pull tasks off a shared cursor; a failed attempt (error or
+/// Workers claim tasks from a shared queue; a failed attempt (error or
 /// caught panic) goes onto a retry stack while the budget lasts. A
 /// panicked worker's simulator state is unreliable, so that worker
-/// thread exits; survivors pick the retry up. If the whole pool dies the
-/// leftover tasks simply come back as failures — the caller degrades
-/// them in-process, so the sweep always terminates.
+/// thread exits; survivors pick the retry up. A worker that finds the
+/// queue empty waits until no attempt is in flight, so a retry pushed by
+/// a dying worker is never stranded. If the whole pool dies the leftover
+/// tasks simply come back as failures — the caller degrades them
+/// in-process, so the sweep always terminates.
 fn run_batch(ctx: &BatchCtx<'_>, tasks: &[Task<'_>], base: &[usize]) -> Vec<TaskResult> {
     if tasks.is_empty() {
         return Vec::new();
@@ -568,24 +613,22 @@ fn run_batch(ctx: &BatchCtx<'_>, tasks: &[Task<'_>], base: &[usize]) -> Vec<Task
         Mutex::new((0..tasks.len()).map(|_| None).collect());
     let fail_log: Mutex<Vec<Option<String>>> = Mutex::new(vec![None; tasks.len()]);
     let attempts: Vec<AtomicU32> = tasks.iter().map(|_| AtomicU32::new(0)).collect();
-    let cursor = AtomicUsize::new(0);
-    let retry: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+    let queue = Mutex::new(BatchQueue {
+        next: 0,
+        retry: Vec::new(),
+        in_flight: 0,
+    });
+    let wake = Condvar::new();
     let workers = effective_jobs(jobs, tasks.len());
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let (successes, fail_log, attempts) = (&successes, &fail_log, &attempts);
-            let (cursor, retry) = (&cursor, &retry);
+            let (queue, wake) = (&queue, &wake);
             let delays = ctx.delays.clone();
             scope.spawn(move || {
                 let mut sim = PlSimulator::new(pl, delays)
                     .expect("the leader already validated this netlist");
-                loop {
-                    let i = lock(retry)
-                        .pop()
-                        .unwrap_or_else(|| cursor.fetch_add(1, Ordering::SeqCst));
-                    if i >= tasks.len() {
-                        break;
-                    }
+                while let Some(i) = BatchQueue::claim(queue, wake, tasks.len()) {
                     let t = &tasks[i];
                     let n = attempts[i].fetch_add(1, Ordering::SeqCst) + 1;
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -601,18 +644,15 @@ fn run_batch(ctx: &BatchCtx<'_>, tasks: &[Task<'_>], base: &[usize]) -> Vec<Task
                     match outcome {
                         Ok(Ok(result)) => {
                             lock(successes)[i] = Some(result);
+                            BatchQueue::finish(queue, wake, i, false);
                         }
                         Ok(Err(e)) => {
                             lock(fail_log)[i] = Some(e.to_string());
-                            if n <= max_retries {
-                                lock(retry).push(i);
-                            }
+                            BatchQueue::finish(queue, wake, i, n <= max_retries);
                         }
                         Err(payload) => {
                             lock(fail_log)[i] = Some(panic_message(payload.as_ref()));
-                            if n <= max_retries {
-                                lock(retry).push(i);
-                            }
+                            BatchQueue::finish(queue, wake, i, n <= max_retries);
                             break;
                         }
                     }
@@ -1175,6 +1215,38 @@ mod tests {
         assert!(got.recovery.retried_windows >= 1, "{}", got.recovery);
         assert!(got.recovery.worker_failures.is_empty(), "{}", got.recovery);
         assert_eq!(got.recovery.degraded_windows, 0);
+    }
+
+    /// The retry of a panicked window must never be stranded by a
+    /// surviving worker that found the queue empty and left while the
+    /// panicking attempt was still in flight.
+    #[test]
+    fn panicked_worker_retry_is_never_lost_across_repeats() {
+        let pl = mixed_netlist();
+        let delays = DelayModel::default();
+        let vecs = test_vectors(20, 0x9A1C);
+        let expect = baseline(&pl, &vecs);
+        let opts = ResumableOptions {
+            window: 3,
+            jobs: 4,
+            max_retries: 2,
+            ..ResumableOptions::default()
+        };
+        for rep in 0..100 {
+            let dir = TempDir::new(&format!("retry_repeat_{rep}"));
+            let faults = FaultPlan::new();
+            faults.panic_on_window(1, 1);
+            faults.panic_on_window(4, 1);
+            let got = sweep_resumable_with_faults(&pl, &delays, &vecs, dir.path(), &opts, &faults)
+                .expect("retries absorb the injected panics");
+            assert_eq!(got.outcome, expect, "repeat {rep} diverged");
+            assert_eq!(
+                got.recovery.degraded_windows, 0,
+                "repeat {rep}: {}",
+                got.recovery
+            );
+            assert!(got.recovery.worker_failures.is_empty(), "repeat {rep}");
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::delay::DelayModel;
-use crate::engine::PlSimulator;
 use crate::error::SimError;
+use crate::schedule::LatencySchedule;
 
 /// Aggregate of per-vector latencies (ns).
 ///
@@ -119,9 +119,16 @@ pub fn random_vectors(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>
         .collect()
 }
 
-/// Runs the given input vectors through a netlist on one simulator (state
+/// Runs the given input vectors through a netlist one at a time (each
+/// vector applied once the previous output word is complete; state
 /// carries across vectors) and returns the outputs per vector plus
 /// latency statistics.
+///
+/// This is the paper's per-vector protocol, evaluated by the static
+/// [`LatencySchedule`] rather than the event engine: outputs, latencies
+/// and typed errors are those of consecutive
+/// [`PlSimulator::run_vector`](crate::PlSimulator::run_vector) calls on a
+/// fresh simulator, tick for tick (see [`crate::schedule`]).
 ///
 /// # Errors
 ///
@@ -131,15 +138,9 @@ pub fn measure_latency_on(
     delays: &DelayModel,
     vectors: &[Vec<bool>],
 ) -> Result<(Vec<Vec<bool>>, LatencyStats), SimError> {
-    let mut sim = PlSimulator::new(pl, delays.clone())?;
-    let mut outputs = Vec::with_capacity(vectors.len());
-    let mut lat = Vec::with_capacity(vectors.len());
-    for v in vectors {
-        let r = sim.run_vector(v)?;
-        outputs.push(r.outputs);
-        lat.push(r.latency);
-    }
-    Ok((outputs, LatencyStats::new(lat)))
+    let outcomes = LatencySchedule::new(pl, delays.clone())?.run(vectors)?;
+    let (outputs, latencies) = outcomes.into_iter().map(|o| (o.outputs, o.latency)).unzip();
+    Ok((outputs, LatencyStats::new(latencies)))
 }
 
 /// Runs `count` uniformly random input vectors (seeded) through a netlist

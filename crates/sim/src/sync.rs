@@ -4,11 +4,12 @@ use pl_core::PlNetlist;
 use pl_netlist::{eval::Evaluator, Netlist};
 
 use crate::delay::DelayModel;
-use crate::engine::PlSimulator;
 use crate::error::SimError;
+use crate::schedule::LatencySchedule;
 
 /// Cycle-accurate synchronous simulator (thin wrapper over the netlist
-/// evaluator, mirroring [`PlSimulator`]'s vector-at-a-time interface).
+/// evaluator, mirroring [`crate::PlSimulator`]'s vector-at-a-time
+/// interface).
 #[derive(Debug, Clone)]
 pub struct SyncSimulator<'a> {
     eval: Evaluator<'a>,
@@ -83,21 +84,23 @@ pub fn verify_equivalence(
     vectors: &[Vec<bool>],
 ) -> Result<Result<(), Mismatch>, SimError> {
     let mut ssim = SyncSimulator::new(sync).expect("sync netlist must validate");
-    let mut psim = PlSimulator::new(pl, delays.clone())?;
-    // The PL word is compared and discarded every iteration — one scratch
-    // buffer serves the whole sweep instead of a fresh Vec per vector.
-    let mut po = Vec::new();
+    // The static schedule runs the whole stream at once; `outcomes` holds
+    // exactly the words the event engine would have produced before any
+    // error, so a mismatch in that prefix is still reported first.
+    let (outcomes, error) = LatencySchedule::new(pl, delays.clone())?.run_prefix(vectors);
     for (i, v) in vectors.iter().enumerate() {
         let so = ssim.step(v).map_err(|_| SimError::InputArityMismatch {
             got: v.len(),
             expected: sync.inputs().len(),
         })?;
-        psim.run_vector_into(v, &mut po)?;
-        if so != po {
+        let Some(po) = outcomes.get(i) else {
+            return Err(error.expect("a short prefix carries its error"));
+        };
+        if so != po.outputs {
             return Ok(Err(Mismatch {
                 vector: i,
                 sync_outputs: so,
-                pl_outputs: po,
+                pl_outputs: po.outputs.clone(),
             }));
         }
     }

@@ -9,16 +9,21 @@
 //!   integer clock (tolerance 1e-6 ns = 1 tick),
 //!
 //! across the ITC'99 suite (with and without early evaluation) and across
-//! randomized netlists. The memoized word-parallel trigger search is also
-//! pinned candidate-for-candidate to the pre-refactor per-assignment
-//! search on every compute gate of real designs.
+//! randomized netlists. The static latency schedule
+//! (`pl_sim::LatencySchedule`, the engine behind `measure_latency_on`) is
+//! a third engine for the per-vector protocol and must match the event
+//! engine **exactly**: the same output words and bit-identical latencies
+//! and completion times, at several delay models. The memoized
+//! word-parallel trigger search is also pinned candidate-for-candidate to
+//! the pre-refactor per-assignment search on every compute gate of real
+//! designs.
 
 use pl_bench::{lcg_vectors as vectors, prepared_netlists as itc99_netlists, Lcg};
 use pl_core::ee::EeOptions;
 use pl_core::trigger::{search_triggers_baseline, TriggerCache};
 use pl_core::{PlGateId, PlGateKind, PlNetlist};
 use pl_netlist::Netlist;
-use pl_sim::{DelayModel, PlSimulator, ReferenceSimulator};
+use pl_sim::{DelayModel, LatencySchedule, PlSimulator, ReferenceSimulator};
 use pl_techmap::{map_to_lut4, MapOptions};
 
 const LATENCY_TOL_NS: f64 = 1e-6; // one femtosecond tick
@@ -31,9 +36,44 @@ fn seed_for(id: &str, salt: u64) -> u64 {
     })
 }
 
-/// Asserts both engines agree on `pl` for `vecs`, per-vector and streamed.
-fn assert_engines_agree(pl: &PlNetlist, vecs: &[Vec<bool>], context: &str) {
-    let delays = DelayModel::default();
+/// Asserts the event engine and the static schedule agree exactly on
+/// `pl` for `vecs` under `delays`: the same output words and
+/// bit-identical latencies and completion times, vector for vector —
+/// directly and through `measure_latency_on`.
+fn assert_schedule_exact(pl: &PlNetlist, vecs: &[Vec<bool>], delays: &DelayModel, context: &str) {
+    let mut sim = PlSimulator::new(pl, delays.clone()).expect("event engine builds");
+    let scheduled = LatencySchedule::new(pl, delays.clone())
+        .expect("schedule builds")
+        .run(vecs)
+        .unwrap_or_else(|e| panic!("{context}: schedule failed: {e}"));
+    assert_eq!(scheduled.len(), vecs.len(), "{context}: outcome count");
+    for (i, (v, s)) in vecs.iter().zip(&scheduled).enumerate() {
+        let r = sim.run_vector(v).expect("event engine simulates");
+        assert_eq!(
+            s.outputs, r.outputs,
+            "{context}: schedule outputs diverged at vector {i}"
+        );
+        assert_eq!(
+            (s.latency.to_bits(), s.completed_at.to_bits()),
+            (r.latency.to_bits(), r.completed_at.to_bits()),
+            "{context}: schedule timing diverged at vector {i}: {} vs {} ns",
+            s.latency,
+            r.latency
+        );
+    }
+    let (outputs, stats) = pl_sim::measure_latency_on(pl, delays, vecs).expect("measures");
+    assert!(outputs.iter().zip(&scheduled).all(|(o, s)| *o == s.outputs));
+    assert!(stats
+        .per_vector
+        .iter()
+        .zip(&scheduled)
+        .all(|(l, s)| l.to_bits() == s.latency.to_bits()));
+}
+
+/// Asserts all three engines agree on `pl` for `vecs` under `delays`:
+/// the reference engine within one tick, per-vector and streamed, and the
+/// static schedule exactly.
+fn assert_engines_agree(pl: &PlNetlist, vecs: &[Vec<bool>], delays: &DelayModel, context: &str) {
     let mut new_sim = PlSimulator::new(pl, delays.clone()).expect("new engine builds");
     let mut ref_sim = ReferenceSimulator::new(pl, delays.clone()).expect("reference builds");
     for (i, v) in vecs.iter().enumerate() {
@@ -50,9 +90,10 @@ fn assert_engines_agree(pl: &PlNetlist, vecs: &[Vec<bool>], context: &str) {
             rr.latency
         );
     }
+    assert_schedule_exact(pl, vecs, delays, context);
     // Pipelined stream from a fresh state.
     let mut new_sim = PlSimulator::new(pl, delays.clone()).expect("new engine builds");
-    let mut ref_sim = ReferenceSimulator::new(pl, delays).expect("reference builds");
+    let mut ref_sim = ReferenceSimulator::new(pl, delays.clone()).expect("reference builds");
     let sn = new_sim.run_stream(vecs).expect("new engine streams");
     let sr = ref_sim.run_stream(vecs).expect("reference streams");
     assert_eq!(
@@ -72,8 +113,9 @@ fn itc99_small_benchmarks_bit_identical() {
     for id in ["b01", "b02", "b03", "b06", "b09", "b10"] {
         let (plain, ee) = itc99_netlists(id);
         let vecs = vectors(plain.input_gates().len(), 16, seed_for(id, 0xA5A5));
-        assert_engines_agree(&plain, &vecs, &format!("{id} plain"));
-        assert_engines_agree(&ee, &vecs, &format!("{id} ee"));
+        let delays = DelayModel::default();
+        assert_engines_agree(&plain, &vecs, &delays, &format!("{id} plain"));
+        assert_engines_agree(&ee, &vecs, &delays, &format!("{id} ee"));
     }
 }
 
@@ -82,9 +124,48 @@ fn itc99_medium_benchmarks_bit_identical() {
     for id in ["b04", "b05", "b11", "b12"] {
         let (plain, ee) = itc99_netlists(id);
         let vecs = vectors(plain.input_gates().len(), 6, seed_for(id, 0xB0B0));
-        assert_engines_agree(&plain, &vecs, &format!("{id} plain"));
-        assert_engines_agree(&ee, &vecs, &format!("{id} ee"));
+        let delays = DelayModel::default();
+        assert_engines_agree(&plain, &vecs, &delays, &format!("{id} plain"));
+        assert_engines_agree(&ee, &vecs, &delays, &format!("{id} ee"));
     }
+}
+
+/// The two largest designs through all three engines at a few vectors.
+#[test]
+fn itc99_large_benchmarks_bit_identical() {
+    for id in ["b14", "b15"] {
+        let (plain, ee) = itc99_netlists(id);
+        let vecs = vectors(plain.input_gates().len(), 3, seed_for(id, 0xB1B1));
+        let delays = DelayModel::default();
+        assert_engines_agree(&plain, &vecs, &delays, &format!("{id} plain"));
+        assert_engines_agree(&ee, &vecs, &delays, &format!("{id} ee"));
+    }
+}
+
+/// The exactness gate of the static schedule on the whole ITC'99 suite:
+/// b01 through b15, plain and with EE, tick for tick against the event
+/// engine under every delay model.
+#[test]
+fn schedule_bit_identical_on_itc99_suite() {
+    for bench in pl_itc99::catalog() {
+        let (plain, ee) = itc99_netlists(bench.id);
+        let vecs = vectors(plain.input_gates().len(), 12, seed_for(bench.id, 0x5C4E));
+        for (delays, name) in delay_models() {
+            let context = |variant| format!("{} {variant}, {name}", bench.id);
+            assert_schedule_exact(&plain, &vecs, &delays, &context("plain"));
+            assert_schedule_exact(&ee, &vecs, &delays, &context("ee"));
+        }
+    }
+}
+
+/// The delay models the randomized suites run under: the default, the
+/// all-zero model (every event ties on one tick) and an odd scaling.
+fn delay_models() -> [(DelayModel, &'static str); 3] {
+    [
+        (DelayModel::default(), "default"),
+        (DelayModel::zero(), "zero"),
+        (DelayModel::default().scaled(0.37), "scaled 0.37"),
+    ]
 }
 
 /// One random mapped netlist from the LCG stream — the exact generator
@@ -97,7 +178,8 @@ fn random_mapped_netlist(rng: &mut Lcg) -> Option<Netlist> {
 }
 
 /// Random synchronous circuits (the `prop_flow` recipe generator, driven
-/// by a plain LCG so the whole suite stays deterministic without dev-deps).
+/// by a plain LCG so the whole suite stays deterministic without dev-deps)
+/// through all three engines under every delay model.
 #[test]
 fn randomized_netlists_bit_identical() {
     let mut rng = Lcg::new(0xF00D_FACE_CAFE_0001);
@@ -112,8 +194,10 @@ fn randomized_netlists_bit_identical() {
             .with_early_evaluation(&EeOptions::default())
             .into_netlist();
         let vecs = vectors(mapped.inputs().len(), 12, rng.next_u64());
-        assert_engines_agree(&plain, &vecs, "random plain");
-        assert_engines_agree(&ee, &vecs, "random ee");
+        for (delays, name) in delay_models() {
+            assert_engines_agree(&plain, &vecs, &delays, &format!("random plain, {name}"));
+            assert_engines_agree(&ee, &vecs, &delays, &format!("random ee, {name}"));
+        }
         tested += 1;
     }
 }

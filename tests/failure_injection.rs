@@ -99,11 +99,15 @@ fn redundant_ack_removal_is_tolerated() {
         .expect("a redundant ack exists in this topology");
     pl.inject_remove_arc(pl_core::PlArcId::from_index(victim));
     if check_liveness(&pl).is_ok() && check_safety(&pl).is_ok() {
+        let vectors: Vec<Vec<bool>> = (0..8u32).map(|k| vec![k & 1 == 1, k & 2 == 2]).collect();
         let mut sim = PlSimulator::new(&pl, DelayModel::default()).unwrap();
-        for k in 0..8u32 {
-            let v = vec![k & 1 == 1, k & 2 == 2];
-            let out = sim.run_vector(&v).unwrap();
+        let (scheduled, stats) =
+            pl_sim::measure_latency_on(&pl, &DelayModel::default(), &vectors).unwrap();
+        for (i, v) in vectors.iter().enumerate() {
+            let out = sim.run_vector(v).unwrap();
             assert_eq!(out.outputs[0], (v[0] && v[1]) ^ v[0]);
+            assert_eq!(scheduled[i], out.outputs, "schedule diverged at vector {i}");
+            assert_eq!(stats.per_vector[i].to_bits(), out.latency.to_bits());
         }
     }
 }
@@ -122,7 +126,7 @@ fn missing_data_arc_deadlocks() {
     // The floating pin is rejected at construction (check_pins), or if a
     // different topology slipped through, the run must deadlock — never
     // produce a wrong answer.
-    match PlSimulator::new(&pl, DelayModel::default()) {
+    let engine = match PlSimulator::new(&pl, DelayModel::default()) {
         Err(SimError::Structural(e)) => {
             assert!(
                 matches!(
@@ -131,12 +135,24 @@ fn missing_data_arc_deadlocks() {
                 ),
                 "got {e}"
             );
+            SimError::Structural(e)
         }
         Ok(mut sim) => match sim.run_vector(&[true, true]) {
-            Err(SimError::Deadlock { .. }) => {}
+            Err(e @ SimError::Deadlock { .. }) => e,
             other => panic!("expected deadlock, got {other:?}"),
         },
         Err(other) => panic!("unexpected construction failure: {other}"),
+    };
+    // The latency protocol's static schedule rejects it the same way.
+    let scheduled = pl_sim::measure_latency_on(&pl, &DelayModel::default(), &[vec![true, true]])
+        .expect_err("a starved gate never measures");
+    assert_eq!(
+        std::mem::discriminant(&scheduled),
+        std::mem::discriminant(&engine),
+        "schedule reported {scheduled}, event engine {engine}"
+    );
+    if let (SimError::Structural(a), SimError::Structural(b)) = (&scheduled, &engine) {
+        assert_eq!(a, b);
     }
 }
 
@@ -161,10 +177,17 @@ fn unsound_trigger_is_detected() {
     pl.inject_trigger_table(master, TruthTable::ones(arity));
     let mut sim = PlSimulator::new(&pl, DelayModel::default()).unwrap();
     let n_inputs = pl.input_gates().len();
+    let vectors: Vec<Vec<bool>> = (0..32u32)
+        .map(|k| (0..n_inputs).map(|i| (k >> (i % 8)) & 1 == 1).collect())
+        .collect();
+    // The latency protocol's static schedule catches the same master.
+    match pl_sim::measure_latency_on(&pl, &DelayModel::default(), &vectors) {
+        Err(SimError::UnsoundTrigger { master: m }) => assert_eq!(m, master),
+        other => panic!("schedule: expected an unsound trigger, got {other:?}"),
+    }
     let mut saw_unsound = false;
-    for k in 0..32u32 {
-        let v: Vec<bool> = (0..n_inputs).map(|i| (k >> (i % 8)) & 1 == 1).collect();
-        match sim.run_vector(&v) {
+    for v in &vectors {
+        match sim.run_vector(v) {
             Ok(_) => {}
             Err(SimError::UnsoundTrigger { master: m }) => {
                 assert_eq!(m, master);
