@@ -158,6 +158,49 @@ mod tests {
         }
     }
 
+    /// `SimReport::jobs` is the worker count the simulate stage used, not
+    /// the request: `0` resolves to the host's cores, and either is
+    /// clamped to the work items — the two variants of the per-vector and
+    /// streamed protocols, the substream blocks of the lane protocol.
+    #[test]
+    fn sim_report_jobs_is_the_resolved_worker_count() {
+        let src = CircuitSource::catalog("b01").unwrap();
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let run = |jobs: usize, window: Option<usize>, lanes: Option<usize>| {
+            Pipeline::new(FlowOptions {
+                vectors: 4,
+                verify: false,
+                jobs,
+                window,
+                lanes,
+                ..FlowOptions::default()
+            })
+            .run(&src)
+            .unwrap()
+            .report
+            .simulate
+            .jobs
+        };
+        assert_eq!(run(0, None, None), cores.min(2));
+        assert_eq!(run(64, None, None), 2);
+        assert_eq!(run(0, Some(3), None), cores.min(2));
+        assert_eq!(run(64, Some(3), None), 2);
+        assert_eq!(run(64, None, Some(64)), 1);
+        assert_eq!(run(64, None, Some(1)), 64);
+        assert_eq!(run(0, None, Some(1)), cores.min(64));
+        let plain_only = Pipeline::new(FlowOptions {
+            vectors: 4,
+            verify: false,
+            ee_enabled: false,
+            jobs: 64,
+            window: Some(3),
+            ..FlowOptions::default()
+        })
+        .run(&src)
+        .unwrap();
+        assert_eq!(plain_only.report.simulate.jobs, 1);
+    }
+
     /// The streamed protocol (window: Some) must produce the same output
     /// VALUES as the per-vector protocol (marked-graph determinism), be
     /// jobs-invariant, survive the synchronous cross-check, and report
@@ -212,7 +255,7 @@ mod tests {
     /// A zero streaming window is caught as a typed
     /// [`FlowError::Options`] before any stage runs (library callers get
     /// the same rejection as plc's flag checks), not as a panic deep
-    /// inside the pipelined sweep.
+    /// inside the resumable sweep.
     #[test]
     fn zero_window_is_a_typed_error() {
         let pipeline = Pipeline::new(FlowOptions {
@@ -295,13 +338,6 @@ mod tests {
                 },
                 "--resume requires --checkpoint-dir",
             ),
-            (
-                FlowOptions {
-                    max_retries: Some(3),
-                    ..base.clone()
-                },
-                "--max-retries requires --checkpoint-dir",
-            ),
         ];
         for (opts, expect) in cases {
             match opts.validate() {
@@ -334,7 +370,6 @@ mod tests {
             window: Some(8),
             checkpoint_dir: dir,
             resume: true,
-            max_retries: Some(1),
             ..base
         }
         .validate()

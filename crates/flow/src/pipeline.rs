@@ -71,7 +71,7 @@ use pl_core::PlNetlist;
 use pl_lint::{LintOptions, LintReport};
 use pl_netlist::blif::BlifNote;
 use pl_netlist::Netlist;
-use pl_sim::{DelayModel, LatencyStats, ResumableOptions, SweepRecovery};
+use pl_sim::{DelayModel, LatencyStats, PlSimulator, ResumableOptions, SweepRecovery};
 use pl_techmap::{map_with_memo, MapMemo, MapOptions, MapReuseStats, ReusePlan};
 
 use crate::error::FlowError;
@@ -93,18 +93,20 @@ pub struct FlowOptions {
     pub delays: DelayModel,
     /// Cross-check PL outputs against the synchronous reference.
     pub verify: bool,
-    /// Worker threads for the simulate stage's variant sweep (`0` = one
-    /// per core). Results are bit-identical at any value.
+    /// Worker threads for the simulate stage (`0` = one per core): the
+    /// plain and EE variants of the per-vector and streamed protocols
+    /// run concurrently, and the lane protocol scatters its substream
+    /// blocks. Results are bit-identical at any value.
     pub jobs: usize,
     /// When set, the simulate stage runs the *streamed* protocol instead
     /// of the per-vector latency protocol: each variant's vector stream
-    /// goes through [`pl_sim::parallel::sweep_pipelined`] in windows of
-    /// this many vectors (checkpoint handoff, `jobs` workers), producing a
-    /// [`pl_sim::StreamOutcome`] bit-identical to a sequential
-    /// [`pl_sim::PlSimulator::run_stream`] call at any `(jobs, window)`.
-    /// Latency statistics are empty in this mode (a pipelined stream has
-    /// no per-vector stable-input→stable-output latency); makespan and
-    /// throughput are reported instead.
+    /// is one sequential [`pl_sim::PlSimulator::run_stream`] (vectors fed
+    /// without waiting for output words), and the variants run across
+    /// [`FlowOptions::jobs`]. The window is the stream's checkpoint
+    /// granularity under [`FlowOptions::checkpoint_dir`]; it never changes
+    /// the result. Latency statistics are empty in this mode (a pipelined
+    /// stream has no per-vector stable-input→stable-output latency);
+    /// makespan and throughput are reported instead.
     pub window: Option<usize>,
     /// When set, the simulate stage runs the *lane* protocol: the vector
     /// stream is striped 64 ways (vector `i` → substream `i % 64`, round
@@ -120,13 +122,13 @@ pub struct FlowOptions {
     /// [`FlowOptions::checkpoint_dir`]. Latency statistics are empty in
     /// this mode (substreams measure values, not per-vector latency).
     pub lanes: Option<usize>,
-    /// When set (streamed protocol only), the simulate stage runs each
-    /// variant through the crash-resumable sweep
-    /// ([`pl_sim::sweep_resumable`]) instead of the in-memory pipelined
-    /// sweep: window-boundary checkpoints and a completed-window journal
-    /// are written under this directory (`plain/` and `ee/` subtrees, one
-    /// per variant), so a killed run can be resumed bit-identically with
-    /// [`FlowOptions::resume`]. Requires [`FlowOptions::window`].
+    /// When set (streamed protocol only), each variant's sequential
+    /// stream is checkpointed as it runs ([`pl_sim::sweep_resumable`]):
+    /// a checkpoint at every window boundary and a completed-window
+    /// journal are written under this directory (`plain/` and `ee/`
+    /// subtrees, one per variant), so a killed run can be resumed
+    /// bit-identically with [`FlowOptions::resume`]. Requires
+    /// [`FlowOptions::window`].
     pub checkpoint_dir: Option<PathBuf>,
     /// Resume an interrupted sweep already present in
     /// [`FlowOptions::checkpoint_dir`] instead of starting fresh (a fresh
@@ -135,13 +137,6 @@ pub struct FlowOptions {
     /// subtree, e.g. the run was killed before reaching the EE variant —
     /// is started fresh rather than failing.
     pub resume: bool,
-    /// Re-attempts granted to a failed or panicked sweep window before it
-    /// degrades to in-process execution (resumable protocol only).
-    /// `None` takes the resumable sweep's default
-    /// ([`ResumableOptions::default`]); `Some` requires
-    /// [`FlowOptions::checkpoint_dir`] — there is no resumable sweep to
-    /// tune otherwise, and [`FlowOptions::validate`] rejects the combo.
-    pub max_retries: Option<u32>,
     /// Technology-mapping options (LUT arity, cut budget, cleanup).
     pub map: MapOptions,
     /// Run the standalone netlist cleanup passes (constant propagation,
@@ -171,7 +166,6 @@ impl Default for FlowOptions {
             lanes: None,
             checkpoint_dir: None,
             resume: false,
-            max_retries: None,
             map: MapOptions::default(),
             optimize: false,
             lint: LintOptions::default(),
@@ -195,8 +189,7 @@ impl FlowOptions {
     ///   (the lane sweep is not resumable),
     /// * [`FlowOptions::checkpoint_dir`] without a window (only the
     ///   streamed sweep is resumable),
-    /// * [`FlowOptions::resume`] without a checkpoint directory,
-    /// * [`FlowOptions::max_retries`] without a checkpoint directory.
+    /// * [`FlowOptions::resume`] without a checkpoint directory.
     ///
     /// Called at the top of [`Pipeline::run`], [`Pipeline::simulate`]
     /// and [`Pipeline::eco_session`], so an invalid combination fails
@@ -245,12 +238,6 @@ impl FlowOptions {
         if self.resume && self.checkpoint_dir.is_none() {
             return reject(
                 "--resume requires --checkpoint-dir (nowhere to resume from)".to_string(),
-            );
-        }
-        if self.max_retries.is_some() && self.checkpoint_dir.is_none() {
-            return reject(
-                "--max-retries requires --checkpoint-dir (it tunes the resumable sweep)"
-                    .to_string(),
             );
         }
         Ok(())
@@ -421,9 +408,11 @@ pub struct EarlyEvaled {
 pub struct SimReport {
     /// Vectors simulated per variant.
     pub vectors: usize,
-    /// Worker threads used for the variant sweep.
+    /// Worker threads the simulate stage used: the [`FlowOptions::jobs`]
+    /// request resolved against the work items (the variants, or the
+    /// lane protocol's substream blocks).
     pub jobs: usize,
-    /// Pipelined-window size when the streamed protocol ran
+    /// Checkpoint-window size when the streamed protocol ran
     /// (see [`FlowOptions::window`]); `None` for the per-vector protocol.
     pub window: Option<usize>,
     /// Lane width when the lane protocol ran (see
@@ -459,14 +448,14 @@ pub struct Simulated {
     /// Latency statistics with EE (`None` when EE is disabled; empty in
     /// streamed mode).
     pub stats_ee: Option<LatencyStats>,
-    /// Streamed outcome of the plain variant when the pipelined protocol
+    /// Streamed outcome of the plain variant when the streamed protocol
     /// ran (see [`FlowOptions::window`]) — **metrics only**
     /// (makespan/throughput); its `outputs` vector is empty because the
     /// output words live once, in [`Simulated::outputs`].
     pub stream_plain: Option<pl_sim::StreamOutcome>,
     /// Streamed outcome of the EE variant (metrics only, same contract as
     /// `stream_plain`; the EE words were asserted identical to the plain
-    /// ones), when EE and the pipelined protocol are both enabled.
+    /// ones), when EE and the streamed protocol are both enabled.
     pub stream_ee: Option<pl_sim::StreamOutcome>,
     /// Stage report.
     pub report: SimReport,
@@ -503,7 +492,7 @@ pub struct FlowArtifacts {
     /// Latency statistics with EE (`None` when EE is disabled; empty in
     /// streamed mode).
     pub stats_ee: Option<LatencyStats>,
-    /// Streamed outcome of the plain variant when the pipelined protocol
+    /// Streamed outcome of the plain variant when the streamed protocol
     /// ran — metrics only; the words live in [`FlowArtifacts::outputs`].
     pub stream_plain: Option<pl_sim::StreamOutcome>,
     /// Streamed outcome of the EE variant (metrics only).
@@ -814,21 +803,19 @@ impl Pipeline {
     /// variant's. Two protocols, selected by [`FlowOptions::window`]:
     ///
     /// * **Per-vector** (`window: None`, the paper's Table 3 protocol) —
-    ///   measures stable-input→stable-output latency vector by vector,
-    ///   scattering the plain/EE variants across [`FlowOptions::jobs`]
-    ///   workers.
+    ///   measures stable-input→stable-output latency vector by vector.
     /// * **Streamed** (`window: Some(n)`) — pipelines the whole vector
-    ///   stream through each variant via
-    ///   [`pl_sim::parallel::sweep_pipelined`] (`n`-vector checkpointed
-    ///   windows, `jobs` workers inside one stream), reporting makespan
-    ///   and throughput instead of per-vector latencies. With
-    ///   [`FlowOptions::checkpoint_dir`] set, the stream runs through the
-    ///   crash-resumable sweep instead ([`pl_sim::sweep_resumable`]:
-    ///   on-disk checkpoints + journal, kill/resume recovery, bounded
-    ///   worker retry) and the report carries each variant's
-    ///   [`SweepRecovery`] audit trail.
+    ///   stream through each variant as one sequential
+    ///   [`pl_sim::PlSimulator::run_stream`], reporting makespan and
+    ///   throughput instead of per-vector latencies. With
+    ///   [`FlowOptions::checkpoint_dir`] set, the same run is checkpointed
+    ///   every `n` vectors ([`pl_sim::sweep_resumable`]: on-disk
+    ///   checkpoints + journal, kill/resume recovery) and the report
+    ///   carries each variant's [`SweepRecovery`] audit trail.
     ///
-    /// Either way the results are bit-identical at any worker count.
+    /// Both protocols scatter the plain/EE variants across
+    /// [`FlowOptions::jobs`] workers, and the results are bit-identical
+    /// at any worker count.
     ///
     /// # Errors
     ///
@@ -846,9 +833,16 @@ impl Pipeline {
             self.opts.vectors,
             self.opts.seed,
         );
+        let variants: Vec<&PlNetlist> = std::iter::once(&ee.plain).chain(ee.ee.as_ref()).collect();
+        // Lane runs scatter blocks of `lanes` substreams (64 in total);
+        // the other protocols scatter the variants.
+        let items = self
+            .opts
+            .lanes
+            .map_or(variants.len(), |lanes| 64usize.div_ceil(lanes));
         let report = SimReport {
             vectors: self.opts.vectors,
-            jobs: self.opts.jobs,
+            jobs: pl_sim::parallel::effective_jobs(self.opts.jobs, items),
             window: self.opts.window,
             lanes: self.opts.lanes,
             recovery_plain: None,
@@ -900,13 +894,17 @@ impl Pipeline {
             });
         }
         if let Some(window) = self.opts.window {
-            // Streamed protocol: parallelism lives INSIDE each stream, so
-            // the variants run back to back, each pipelined over `jobs`.
-            let (mut stream_plain, recovery_plain) =
-                self.sweep_stream(&ee.plain, &inputs, window, "plain")?;
-            let (stream_ee, recovery_ee) = match &ee.ee {
-                Some(pl) => {
-                    let (mut s, rec) = self.sweep_stream(pl, &inputs, window, "ee")?;
+            // Streamed protocol: one sequential run per variant, the
+            // variants scattered across `jobs` like the per-vector ones.
+            let mut streams =
+                pl_sim::parallel::scatter_gather(self.opts.jobs, &variants, |i, pl| {
+                    self.sweep_stream(pl, &inputs, window, ["plain", "ee"][i])
+                })
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()?;
+            let (mut stream_plain, recovery_plain) = streams.remove(0);
+            let (stream_ee, recovery_ee) = match streams.pop() {
+                Some((mut s, rec)) => {
                     if stream_plain.outputs != s.outputs {
                         return Err(FlowError::Mismatch {
                             context: format!("{} (EE vs plain, streamed)", ee.name),
@@ -937,7 +935,6 @@ impl Pipeline {
                 },
             });
         }
-        let variants: Vec<&PlNetlist> = std::iter::once(&ee.plain).chain(ee.ee.as_ref()).collect();
         let results = pl_sim::parallel::scatter_gather(self.opts.jobs, &variants, |_, pl| {
             pl_sim::measure_latency_on(pl, &self.opts.delays, &inputs)
         });
@@ -973,10 +970,10 @@ impl Pipeline {
     }
 
     /// Runs one variant's vector stream through the streamed protocol:
-    /// the crash-resumable sweep (under `checkpoint_dir/<variant>`) when
-    /// a checkpoint directory is configured, the in-memory pipelined
-    /// sweep otherwise. Both are bit-identical to a sequential
-    /// `run_stream`; only the resumable path yields a recovery trail.
+    /// checkpointed by the crash-resumable sweep (under
+    /// `checkpoint_dir/<variant>`) when a checkpoint directory is
+    /// configured, a plain `run_stream` otherwise. Both give the same
+    /// outcome; only the resumable path yields a recovery trail.
     fn sweep_stream(
         &self,
         pl: &PlNetlist,
@@ -998,21 +995,12 @@ impl Pipeline {
                     &self.opts.delays,
                     inputs,
                     &vdir,
-                    &ResumableOptions {
-                        window,
-                        jobs: self.opts.jobs,
-                        resume,
-                        max_retries: self
-                            .opts
-                            .max_retries
-                            .unwrap_or(ResumableOptions::default().max_retries),
-                    },
+                    &ResumableOptions { window, resume },
                 )?;
                 Ok((out.outcome, Some(out.recovery)))
             }
             None => {
-                let s =
-                    pl_sim::sweep_pipelined(pl, &self.opts.delays, inputs, window, self.opts.jobs)?;
+                let s = PlSimulator::new(pl, self.opts.delays.clone())?.run_stream(inputs)?;
                 Ok((s, None))
             }
         }

@@ -72,8 +72,8 @@
 //! reference engine; `tests/engine_equivalence.rs` enforces this
 //! differentially on the ITC'99 suite and on randomized netlists.
 //!
-//! This engine runs the streamed, pipelined, checkpointed, batch and
-//! traced protocols. The per-vector latency protocol
+//! This engine runs the streamed (and, with checkpoints, resumable),
+//! batch and traced protocols. The per-vector latency protocol
 //! ([`crate::measure_latency_on`], [`crate::verify_equivalence`]) runs on
 //! [`crate::LatencySchedule`] instead, which evaluates the same firing
 //! rules as a static max-plus / min-max recurrence and is pinned to
@@ -173,7 +173,7 @@ pub struct LaneSimulator<'a, L: LaneWord = bool> {
     ticks: TickDelays,
     /// The netlist's design fingerprint
     /// ([`crate::checkpoint::netlist_fingerprint`]), computed once here so
-    /// per-window snapshot/restore never re-walks the netlist.
+    /// per-boundary snapshot/restore never re-walks the netlist.
     pub(crate) fingerprint: u64,
     pub(crate) now: u64,
     pub(crate) seq: u64,
@@ -198,25 +198,6 @@ pub struct LaneSimulator<'a, L: LaneWord = bool> {
     pub(crate) records: Vec<VecDeque<(L, u64)>>,
     pub(crate) rounds: u64,
     pub(crate) trace: Option<Vec<crate::trace::TraceEvent>>,
-    /// The pipelined sweep's leader diet: an output firing whose round
-    /// index is below this horizon (and whose record queue holds no
-    /// later round) is counted into `records_skipped` instead of being
-    /// pushed onto `records` — record queues are write-only to the event
-    /// schedule, so this changes memory traffic, never simulation
-    /// results. `0` (the default) records everything. Leader-local
-    /// bookkeeping: deliberately NOT part of [`crate::SimCheckpoint`]
-    /// (the skip counts are folded into the window `base` offsets by
-    /// [`PlSimulator::prune_records`] before every snapshot).
-    pub(crate) record_horizon: usize,
-    /// Per-output count of rounds skipped under the `record_horizon`
-    /// diet, pending their fold into a pruning `base`.
-    pub(crate) records_skipped: Vec<usize>,
-    /// Per-output count of rounds recorded *or* skipped since
-    /// construction — each output's next absolute round index, which the
-    /// `record_horizon` diet compares against. Only the never-restored
-    /// diet leader reads it (reset alongside the skip counts on
-    /// restore).
-    pub(crate) fired_rounds: Vec<usize>,
 }
 
 /// The scalar (1-lane) simulator — the engine every existing caller uses,
@@ -263,9 +244,6 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
             records: vec![VecDeque::new(); pl.output_gates().len()],
             rounds: 0,
             trace: None,
-            record_horizon: 0,
-            records_skipped: vec![0; pl.output_gates().len()],
-            fired_rounds: vec![0; pl.output_gates().len()],
             adj,
         };
         // Derive the incremental readiness state from the initial marking.
@@ -324,41 +302,6 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
         self.events
     }
 
-    /// Raises the record-skip horizon — the advance-only leader pass of
-    /// [`crate::parallel::sweep_pipelined`] sets it to the end of the
-    /// window just dispatched before feeding that window's vectors, so
-    /// output words for already-dispatched rounds are counted (per
-    /// output) instead of stored and the leader's memory and per-round
-    /// work stop scaling with window contents. The horizon compares
-    /// against each output's absolute round index, so an output that
-    /// *outruns* the fed vectors (one whose data cone contains no
-    /// primary input — a free-running DFF ring — can fire for rounds the
-    /// environment has not paced yet) keeps its beyond-horizon records;
-    /// skips therefore always form a contiguous prefix of dispatched
-    /// rounds, which is what lets [`PlSimulator::prune_records`] fold
-    /// the counts into the window `base` exactly. The collection entry
-    /// points ([`PlSimulator::run_vector`] / [`PlSimulator::run_stream`]
-    /// / window replay) require the horizon to be 0.
-    pub(crate) fn set_record_horizon(&mut self, horizon: usize) {
-        debug_assert!(horizon >= self.record_horizon, "horizon only advances");
-        self.record_horizon = horizon;
-    }
-
-    /// Routes one output firing to the record queue, or counts it as
-    /// skipped under the `record_horizon` diet. Skipping requires an
-    /// empty queue so skipped rounds never interleave behind kept ones
-    /// (an outrun record beyond the horizon blocks skipping until a
-    /// prune pops it).
-    fn record_output(&mut self, slot: usize, value: L) {
-        let round = self.fired_rounds[slot];
-        self.fired_rounds[slot] += 1;
-        if round < self.record_horizon && self.records[slot].is_empty() {
-            self.records_skipped[slot] += 1;
-        } else {
-            self.records[slot].push_back((value, self.now));
-        }
-    }
-
     /// Starts recording token deliveries for [`crate::trace::to_vcd`].
     /// In a batch simulator only lane 0 is traced.
     pub fn enable_tracing(&mut self) {
@@ -383,7 +326,6 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
     /// [`SimError::SafetyViolation`] / [`SimError::UnsoundTrigger`] indicate
     /// internal invariant breaches.
     pub fn run_vector(&mut self, inputs: &[L]) -> Result<VectorOutcome<L>, SimError> {
-        debug_assert_eq!(self.record_horizon, 0, "run_vector collects records");
         let ports = self.pl.input_gates();
         if inputs.len() != ports.len() {
             return Err(SimError::InputArityMismatch {
@@ -400,25 +342,8 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
             self.try_schedule(g.index());
         }
         self.record_constant_outputs();
-        // Run until each output's record queue has an entry for this round.
-        while !self.round_complete() {
-            let Some((key, kind)) = self.queue.pop() else {
-                return Err(SimError::Deadlock {
-                    at_time: self.time(),
-                    missing_outputs: self.missing_outputs(),
-                });
-            };
-            self.now = crate::queue::tick_of(key);
-            self.dispatch(kind)?;
-        }
-        let mut outputs = Vec::with_capacity(self.records.len());
         let mut completed_at = start;
-        for q in &mut self.records {
-            let (v, t) = q.pop_front().expect("round_complete guarantees a record");
-            outputs.push(v);
-            completed_at = completed_at.max(t);
-        }
-        self.rounds += 1;
+        let outputs = self.complete_word(&mut completed_at)?;
         Ok(VectorOutcome {
             outputs,
             latency: ticks_to_ns(completed_at - start),
@@ -439,36 +364,16 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
     ///
     /// Same conditions as [`PlSimulator::run_vector`].
     pub fn run_stream(&mut self, vectors: &[Vec<L>]) -> Result<StreamOutcome<L>, SimError> {
-        debug_assert_eq!(self.record_horizon, 0, "run_stream collects records");
         let start = self.now;
-        let mut completed = 0usize;
         for v in vectors {
             self.feed_vector(v)?;
         }
         // Run to completion of every vector's output word.
-        let mut outputs = Vec::with_capacity(vectors.len());
         let mut last = start;
-        while completed < vectors.len() {
-            while !self.round_complete() {
-                let Some((key, kind)) = self.queue.pop() else {
-                    return Err(SimError::Deadlock {
-                        at_time: self.time(),
-                        missing_outputs: self.missing_outputs(),
-                    });
-                };
-                self.now = crate::queue::tick_of(key);
-                self.dispatch(kind)?;
-            }
-            let mut word = Vec::with_capacity(self.records.len());
-            for q in &mut self.records {
-                let (v, t) = q.pop_front().expect("round complete");
-                word.push(v);
-                last = last.max(t);
-            }
-            outputs.push(word);
-            completed += 1;
-            self.rounds += 1;
-        }
+        let outputs = vectors
+            .iter()
+            .map(|_| self.complete_word(&mut last))
+            .collect::<Result<Vec<_>, _>>()?;
         let makespan = ticks_to_ns(last - start);
         Ok(StreamOutcome {
             outputs,
@@ -485,10 +390,10 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
     /// only for the environment's input gates to be re-armed, applies the
     /// vector, and returns **without waiting for any output word** — exactly
     /// one injection step of [`PlSimulator::run_stream`]. Output words
-    /// accumulate in the per-output record queues and are collected by
-    /// `run_stream`'s completion loop (or by the window-replay machinery of
-    /// [`crate::parallel::sweep_pipelined`]). This is the cheap
-    /// state-advancing primitive the pipelined sweep's leader pass runs.
+    /// accumulate in the per-output record queues until the stream's
+    /// completion step collects them — `run_stream`'s, or the same step
+    /// in [`crate::parallel::sweep_resumable`], which feeds the stream one
+    /// window at a time and checkpoints it at every window boundary.
     ///
     /// # Errors
     ///
@@ -511,89 +416,44 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
         Ok(())
     }
 
-    /// Drops recorded output words for rounds below `upto_round` from the
-    /// front of each record queue, adding the per-queue drop counts to
-    /// `base` (queue `o`'s entries are rounds `[base[o], base[o] +
-    /// records[o].len())`). Records are write-only to the simulation
-    /// itself — nothing in event dispatch ever reads them — so pruning
-    /// never changes the event schedule, only the queue indexing, which
-    /// callers must offset by `base`. This is what keeps the pipelined
-    /// sweep's leader (and hence its checkpoints) at O(in-flight rounds)
-    /// memory instead of O(stream).
-    pub(crate) fn prune_records(&mut self, upto_round: usize, base: &mut [usize]) {
-        debug_assert_eq!(base.len(), self.records.len());
-        // Rounds skipped under the leader diet (`set_record_horizon`)
-        // were "pruned" the moment they were produced; fold their counts
-        // into the base first. A round is only ever skipped below the
-        // horizon, and the sweep prunes exactly at the previous horizon,
-        // so this never advances the base past `upto_round`.
-        for (skip, b) in self.records_skipped.iter_mut().zip(base.iter_mut()) {
-            *b += std::mem::take(skip);
-            debug_assert!(*b <= upto_round, "skipped a round past the boundary");
-        }
-        for (q, b) in self.records.iter_mut().zip(base.iter_mut()) {
-            while *b < upto_round && q.pop_front().is_some() {
-                *b += 1;
-            }
-        }
-    }
-
-    /// Replays one window of a pipelined stream: feeds `vecs`, runs until
-    /// every output's record queue covers rounds `[base[o], start_round +
-    /// vecs.len())`, and returns the output words of rounds `[start_round,
-    /// start_round + vecs.len())` plus the latest record tick among them.
-    ///
-    /// Precondition: the simulator state must stem from a stream driven by
-    /// [`PlSimulator::feed_vector`] alone, with record queues popped only
-    /// through [`PlSimulator::prune_records`] whose accumulated per-queue
-    /// drop counts are `base` (so queue `o`'s index for round `r` is
-    /// `r - base[o]`, and `base[o] <= start_round`). That is exactly the
-    /// state [`PlSimulator::snapshot`] captures on the pipelined sweep's
-    /// leader, which is this helper's only caller (via
-    /// [`crate::parallel::sweep_pipelined`]).
-    pub(crate) fn replay_window(
-        &mut self,
-        vecs: &[Vec<L>],
-        start_round: usize,
-        base: &[usize],
-    ) -> Result<(Vec<Vec<L>>, u64), SimError> {
-        debug_assert_eq!(self.record_horizon, 0, "window replay collects records");
-        debug_assert_eq!(base.len(), self.records.len());
-        debug_assert!(base.iter().all(|&b| b <= start_round));
-        for v in vecs {
-            self.feed_vector(v)?;
-        }
-        let target = start_round + vecs.len();
-        let incomplete = |(q, &b): (&VecDeque<(L, u64)>, &usize)| b + q.len() < target;
-        while self.records.iter().zip(base).any(incomplete) {
+    /// The stream's completion step, shared by [`PlSimulator::run_vector`],
+    /// [`PlSimulator::run_stream`] and the resumable sweep: runs events
+    /// until every output has recorded the oldest uncollected round, pops
+    /// that round's output word, and counts the round as completed.
+    /// `last` is raised to the word's latest record tick. When
+    /// [`LaneSimulator::ready_words`] is nonzero the word is already
+    /// recorded and no event runs.
+    pub(crate) fn complete_word(&mut self, last: &mut u64) -> Result<Vec<L>, SimError> {
+        while !self.round_complete() {
             let Some((key, kind)) = self.queue.pop() else {
                 return Err(SimError::Deadlock {
                     at_time: self.time(),
-                    missing_outputs: self
-                        .pl
-                        .output_gates()
-                        .iter()
-                        .zip(self.records.iter().zip(base))
-                        .filter(|(_, pair)| incomplete(*pair))
-                        .map(|((name, _), _)| name.clone())
-                        .collect(),
+                    missing_outputs: self.missing_outputs(),
                 });
             };
             self.now = crate::queue::tick_of(key);
             self.dispatch(kind)?;
         }
-        let mut words = Vec::with_capacity(vecs.len());
-        let mut last = 0u64;
-        for round in start_round..target {
-            let mut word = Vec::with_capacity(self.records.len());
-            for (q, &b) in self.records.iter().zip(base) {
-                let (v, t) = q[round - b];
-                word.push(v);
-                last = last.max(t);
-            }
-            words.push(word);
+        let mut word = Vec::with_capacity(self.records.len());
+        for q in &mut self.records {
+            let (v, t) = q.pop_front().expect("round complete");
+            word.push(v);
+            *last = (*last).max(t);
         }
-        Ok((words, last))
+        self.rounds += 1;
+        Ok(word)
+    }
+
+    /// Output words already fully recorded and not yet collected — how
+    /// many [`LaneSimulator::complete_word`] calls can run without
+    /// dispatching an event. Records are write-only to the event
+    /// schedule, so collecting them never changes the simulation.
+    pub(crate) fn ready_words(&self) -> usize {
+        self.records
+            .iter()
+            .map(VecDeque::len)
+            .min()
+            .unwrap_or(usize::MAX)
     }
 
     /// Outputs tied to constants have no token traffic; record their value
@@ -603,7 +463,7 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
             let gate = &self.pl.gates()[og.index()];
             if gate.data_in().is_empty() {
                 if let Some(v) = gate.const_pin(0) {
-                    self.record_output(slot, L::splat(v));
+                    self.records[slot].push_back((L::splat(v), self.now));
                 }
             }
         }
@@ -893,7 +753,7 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
                 self.consume_data(g);
                 let slot = self.adj.output_slot(g);
                 debug_assert_ne!(slot, NO_ARC, "output gate is registered");
-                self.record_output(slot as usize, v);
+                self.records[slot as usize].push_back((v, self.now));
                 self.produce(g, v, true, true);
             }
             GateClass::Logic => {

@@ -38,24 +38,27 @@
 //!   [`reference`] for the retained pre-refactor engine that pins these
 //!   semantics differentially (`tests/engine_equivalence.rs`) and anchors
 //!   the speedup numbers in `BENCH_sim.json`. The event engine is the one
-//!   engine for streamed, pipelined, checkpointed, batch and traced (VCD)
-//!   runs, and with [`crate::reference`] the differential oracle for
+//!   engine for streamed, checkpointed, batch and traced (VCD) runs, and
+//!   with [`crate::reference`] the differential oracle for
 //!   [`LatencySchedule`].
-//! * [`parallel`] scatter/gathers multi-vector sweeps across worker
-//!   threads — independent streams ([`sweep_streams`]), reset-per-shard
-//!   single streams ([`sweep_sharded`]), and the checkpoint-handoff
-//!   pipelined single stream ([`sweep_pipelined`]). Outcomes merge
-//!   deterministically in stream/vector order (bit-identical to the
-//!   sequential run for any worker count and window size).
-//!   [`sweep_resumable`] is the pipelined sweep made crash-resumable:
-//!   window-boundary checkpoints ([`checkpoint::wire`]) plus a
-//!   completed-window journal on disk, kill/resume recovery, bounded
-//!   worker retry, and in-process degradation — still bit-identical.
+//! * The streamed protocol is one sequential [`PlSimulator::run_stream`]
+//!   per stream: vectors are fed without waiting for output words, which
+//!   measures sustained throughput. [`sweep_resumable`] is that same run
+//!   made crash-resumable: it feeds the stream one window at a time,
+//!   journals every completed window, and writes a checkpoint
+//!   ([`checkpoint::wire`]) at each window boundary, so a killed run
+//!   resumes from the newest one — bit-identical to `run_stream`.
+//! * [`parallel`] scatter/gathers independent work across worker threads
+//!   — independent streams ([`sweep_streams`]), reset-per-shard single
+//!   streams ([`sweep_sharded`]), or any item list
+//!   ([`scatter_gather`], which the flow uses to run its plain and EE
+//!   variants concurrently). Outcomes merge deterministically in item
+//!   order (bit-identical to the sequential run for any worker count).
 //! * [`SimCheckpoint`] captures a simulator's complete dynamic state
 //!   between vectors ([`PlSimulator::snapshot`]); a simulator resumed from
 //!   it ([`PlSimulator::resume_from`] / [`PlSimulator::restore`]) is
-//!   bit-identical to the uninterrupted run — the state-handoff primitive
-//!   behind the pipelined sweep.
+//!   bit-identical to the uninterrupted run — the restart point behind
+//!   the resumable sweep.
 //! * [`SyncSimulator`] is the cycle-accurate synchronous reference; the
 //!   [`verify_equivalence`] helper proves that PL mapping and early
 //!   evaluation change *timing only*, never values.
@@ -121,9 +124,8 @@ pub use engine::{BatchSimulator, LaneSimulator, PlSimulator, StreamOutcome, Vect
 pub use error::SimError;
 pub use lane::{pack_lanes, LaneWord};
 pub use parallel::{
-    scatter_gather, sweep_pipelined, sweep_resumable, sweep_resumable_with_faults, sweep_sharded,
-    sweep_streams, sweep_streams_batch, FaultPlan, ResumableOptions, ResumableOutcome,
-    SweepRecovery, WindowFailure,
+    scatter_gather, sweep_resumable, sweep_resumable_with_faults, sweep_sharded, sweep_streams,
+    sweep_streams_batch, FaultPlan, ResumableOptions, ResumableOutcome, SweepRecovery,
 };
 pub use queue::EventQueue;
 pub use reference::ReferenceSimulator;

@@ -5,7 +5,7 @@
 //! each benchmark; independent sweeps are the classic embarrassingly
 //! parallel discrete-event speedup. This module vendors a small
 //! work-queue pool built from `std::thread::scope` plus an `mpsc` gather
-//! channel — no external dependencies — and exposes two sweep shapes on
+//! channel — no external dependencies — and exposes these sweep shapes on
 //! top of it:
 //!
 //! * [`sweep_streams`] — N independent vector streams, each simulated by a
@@ -20,26 +20,16 @@
 //!   plain [`PlSimulator::run_stream`] call. Each shard restarts from the
 //!   initial marking, so for stateful designs a shard boundary is a reset
 //!   (independent experiments, not one long run).
-//! * [`sweep_pipelined`] — ONE long vector stream as **one continuous
-//!   pipelined run**, parallelized *without* resets: a leader pass
-//!   advances the simulator state cheaply through the stream (injections
-//!   only — no output collection, no latency/trace bookkeeping, and no
-//!   record-queue bookkeeping at all: the leader runs with recording
-//!   switched off and folds the skipped-round counts into the window
-//!   `base` offsets), emitting a [`crate::SimCheckpoint`] at every
-//!   `window`-vector boundary, while worker threads replay each window in
-//!   full behind it. Window results merge vector-index-ordered into a
-//!   [`StreamOutcome`] that is **bit-identical to a sequential
-//!   [`PlSimulator::run_stream`] call** for every `(jobs, window)`
-//!   combination.
-//! * [`sweep_resumable`] ([`resume`]) — the pipelined single stream made
-//!   crash-resumable: window-boundary checkpoints and a completed-window
-//!   journal persist to a directory (atomic write-tmp-then-rename), a
-//!   killed run resumes by replaying only unfinished windows, corrupt
-//!   checkpoint files are detected (typed [`SimError`]) and routed
-//!   around, and a failed or panicked worker's window is retried up to a
-//!   bounded budget before degrading to in-process execution — all while
-//!   staying bit-identical to [`PlSimulator::run_stream`].
+//! * [`sweep_resumable`] ([`resume`]) — ONE long vector stream as one
+//!   continuous run, made crash-resumable: the sequential
+//!   [`PlSimulator::run_stream`] fed one window at a time, with a
+//!   checkpoint at every window boundary and a journal of completed
+//!   windows on disk (atomic write-tmp-then-rename). A killed run resumes
+//!   from the newest usable checkpoint; corrupt checkpoint files are
+//!   detected (typed [`SimError`]) and routed around. The outcome is
+//!   bit-identical to [`PlSimulator::run_stream`]. A continuous stream is
+//!   not split across threads: callers parallelize *across* streams (the
+//!   flow runs its plain and EE variants concurrently).
 //!
 //! The independent-stream shape also comes in a **batch** variant
 //! ([`sweep_streams_batch`]) that scatters whole 64-stream blocks, each
@@ -49,26 +39,20 @@
 //! lanes) while staying bit-identical to the scalar sweep.
 //!
 //! Determinism is structural, not incidental: workers only *pull* work
-//! (item indices from an atomic counter, or checkpointed windows from a
-//! channel); every result is sent back tagged with its index and the
-//! gather side reorders into index order. The engine itself is
-//! single-threaded and deterministic, and — for the pipelined sweep — a
-//! window replayed from its boundary checkpoint reproduces the exact
-//! event schedule of the uninterrupted run, because later windows'
-//! injections cannot influence earlier rounds (token waves are causally
-//! ordered by the marked graph's acknowledge arcs). Identical (netlist,
-//! delays, vectors, shard_len/window) inputs give identical outputs
-//! regardless of scheduling. `tests/engine_equivalence.rs` pins all three
+//! (item indices from an atomic counter); every result is sent back
+//! tagged with its index and the gather side reorders into index order.
+//! The engine itself is single-threaded and deterministic, so identical
+//! (netlist, delays, vectors, shard_len) inputs give identical outputs
+//! regardless of scheduling. `tests/engine_equivalence.rs` pins these
 //! shapes at 1/2/4/8 workers across the ITC'99 suite and randomized
 //! netlists.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 
 use pl_core::PlNetlist;
 
-use crate::checkpoint::SimCheckpoint;
-use crate::delay::{ticks_to_ns, DelayModel};
+use crate::delay::DelayModel;
 use crate::engine::{BatchSimulator, PlSimulator, StreamOutcome};
 use crate::error::SimError;
 
@@ -76,7 +60,7 @@ pub mod resume;
 
 pub use resume::{
     sweep_resumable, sweep_resumable_with_faults, FaultPlan, ResumableOptions, ResumableOutcome,
-    SweepRecovery, WindowFailure,
+    SweepRecovery,
 };
 
 /// Resolves a `--jobs`-style request into a concrete worker count:
@@ -259,185 +243,9 @@ where
     Ok(outcomes)
 }
 
-/// One window of work handed from the pipelined sweep's leader to a
-/// worker: the boundary checkpoint plus the vectors to replay from it.
-struct WindowTask<'v> {
-    index: usize,
-    start_round: usize,
-    /// Per-output-queue count of rounds the leader pruned from the front
-    /// of its record queues before this snapshot (queue `o`'s index for
-    /// round `r` is therefore `r - base[o]`).
-    base: Vec<usize>,
-    vectors: &'v [Vec<bool>],
-    checkpoint: SimCheckpoint,
-}
-
-/// Simulates ONE vector stream as a single continuous pipelined run —
-/// state carries across every vector, exactly like handing the whole
-/// stream to [`PlSimulator::run_stream`] — but parallelized over `jobs`
-/// workers (`0` = auto) via checkpointed `window`-vector windows.
-///
-/// A leader pass (on the calling thread) advances the simulator through
-/// the stream using only the cheap injection step
-/// ([`PlSimulator::feed_vector`]: no output collection, no latency or
-/// trace bookkeeping), taking a [`crate::SimCheckpoint`] at each window
-/// boundary and handing `(checkpoint, window)` to the worker pool through
-/// a bounded channel while it keeps advancing. Each worker restores the
-/// checkpoint into its private simulator and replays the window in full,
-/// extracting that window's output words and record timestamps. Window
-/// results are merged **vector-index-ordered**.
-///
-/// The merged [`StreamOutcome`] is **bit-identical** — output words,
-/// makespan and throughput compared exactly — to a sequential
-/// [`PlSimulator::run_stream`] call on a fresh simulator, for every
-/// `(jobs, window)` combination: a window replayed from its boundary
-/// checkpoint reproduces the uninterrupted run's event schedule because
-/// later injections cannot affect earlier rounds (waves are causally
-/// ordered by the acknowledge arcs), and every record tick is assigned
-/// causally, never by wall clock. `tests/engine_equivalence.rs` pins this
-/// across the ITC'99 suite (plain + EE) and randomized netlists.
-///
-/// With `jobs <= 1` (after resolution) or a single window, the stream
-/// runs directly through [`PlSimulator::run_stream`] on the calling
-/// thread — the same result without the leader/replay duplication.
-///
-/// # Errors
-///
-/// Propagates the first failing window's error, by window index (so the
-/// reported error is deterministic across worker counts). A leader-side
-/// failure surfaces through the window that replays the same vectors.
-///
-/// # Panics
-///
-/// Panics if `window` is zero.
-pub fn sweep_pipelined(
-    pl: &PlNetlist,
-    delays: &DelayModel,
-    vectors: &[Vec<bool>],
-    window: usize,
-    jobs: usize,
-) -> Result<StreamOutcome, SimError> {
-    assert!(window > 0, "window must be at least 1");
-    let n_windows = vectors.len().div_ceil(window);
-    let jobs = effective_jobs(jobs, n_windows);
-    // Building the leader first also validates the netlist: the workers'
-    // own constructions below run the same deterministic checks and
-    // therefore cannot fail once this one succeeded.
-    let mut leader = PlSimulator::new(pl, delays.clone())?;
-    if jobs <= 1 || n_windows <= 1 {
-        return leader.run_stream(vectors);
-    }
-    // Bounded task channel: the leader stays at most a few windows ahead,
-    // and it prunes already-dispatched rounds from its record queues
-    // before every snapshot, so checkpoint memory is O(jobs · in-flight
-    // rounds), not O(stream). Workers share the receiver behind a mutex
-    // (lock held only across the recv itself).
-    let (task_tx, task_rx) = mpsc::sync_channel::<WindowTask<'_>>(2 * jobs);
-    let task_rx = Mutex::new(task_rx);
-    type WindowResult = Result<(Vec<Vec<bool>>, u64), SimError>;
-    let (res_tx, res_rx) = mpsc::channel::<(usize, WindowResult)>();
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            let task_rx = &task_rx;
-            let res_tx = res_tx.clone();
-            let delays = delays.clone();
-            scope.spawn(move || {
-                let mut sim = PlSimulator::new(pl, delays)
-                    .expect("the leader already validated this netlist");
-                loop {
-                    let task = {
-                        // A sibling that panicked while holding the lock
-                        // poisons it; the queue itself is still intact, so
-                        // recover the guard rather than cascading the
-                        // panic into every healthy worker.
-                        let rx = task_rx
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        rx.recv()
-                    };
-                    let Ok(task) = task else { break };
-                    let result = match sim.restore(&task.checkpoint) {
-                        Ok(()) => sim.replay_window(task.vectors, task.start_round, &task.base),
-                        Err(e) => Err(e),
-                    };
-                    if res_tx.send((task.index, result)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(res_tx);
-
-        // Leader pass: snapshot each boundary, hand the window off, keep
-        // advancing. A leader-side simulation error stops dispatch; the
-        // already-dispatched window replaying the same vectors reports the
-        // identical error (the engine is deterministic), so error
-        // propagation stays index-ordered.
-        let start_tick = leader.time_ticks();
-        let mut dispatched = 0usize;
-        let mut start_round = 0usize;
-        let mut base = vec![0usize; pl.output_gates().len()];
-        'feed: for (index, w) in vectors.chunks(window).enumerate() {
-            // Rounds before this window were dispatched to earlier
-            // workers; the leader (and every later snapshot) no longer
-            // needs their recorded words.
-            leader.prune_records(start_round, &mut base);
-            let checkpoint = leader.snapshot();
-            if task_tx
-                .send(WindowTask {
-                    index,
-                    start_round,
-                    base: base.clone(),
-                    vectors: w,
-                    checkpoint,
-                })
-                .is_err()
-            {
-                break;
-            }
-            dispatched += 1;
-            // Leader diet: this window is now some worker's job, so the
-            // leader need not store its output words — raise the record
-            // horizon to the window's end and only *count* firings below
-            // it (the counts fold into `base` at the next prune, keeping
-            // worker indexing, and hence results, bit-identical).
-            leader.set_record_horizon(start_round + w.len());
-            for v in w {
-                if leader.feed_vector(v).is_err() {
-                    break 'feed;
-                }
-            }
-            start_round += w.len();
-        }
-        drop(task_tx);
-
-        let mut slots: Vec<Option<WindowResult>> = (0..dispatched).map(|_| None).collect();
-        for (i, r) in res_rx {
-            slots[i] = Some(r);
-        }
-        let mut outputs = Vec::with_capacity(vectors.len());
-        let mut last = start_tick;
-        for slot in slots {
-            let (words, window_last) = slot.expect("every dispatched window reports")?;
-            outputs.extend(words);
-            last = last.max(window_last);
-        }
-        let makespan = ticks_to_ns(last - start_tick);
-        Ok(StreamOutcome {
-            outputs,
-            makespan,
-            throughput: if makespan > 0.0 {
-                vectors.len() as f64 / makespan
-            } else {
-                f64::INFINITY
-            },
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
+    use super::resume::tests::TempDir;
     use super::*;
     use pl_netlist::Netlist;
 
@@ -550,21 +358,20 @@ mod tests {
         assert_eq!(scatter_gather(64, &items, |_, &x| x * 2), vec![0, 2, 4]);
     }
 
-    #[test]
-    fn pipelined_sweep_is_jobs_and_window_invariant() {
-        let pl = xor_netlist();
-        let delays = DelayModel::default();
-        let vecs = vectors(17, 0xD00F);
-        let baseline = PlSimulator::new(&pl, delays.clone())
-            .unwrap()
-            .run_stream(&vecs)
-            .unwrap();
-        for window in [1, 2, 3, 5, 17, 40] {
-            for jobs in [1, 2, 4, 8] {
-                let p = sweep_pipelined(&pl, &delays, &vecs, window, jobs).unwrap();
-                assert_eq!(p, baseline, "window={window} jobs={jobs} diverged");
-            }
-        }
+    /// The streamed (pipelined) sweep over one continuous stream:
+    /// [`sweep_resumable`] in `window`-vector windows.
+    fn pipelined_sweep(
+        pl: &PlNetlist,
+        vecs: &[Vec<bool>],
+        window: usize,
+        tag: &str,
+    ) -> Result<StreamOutcome, SimError> {
+        let dir = TempDir::new(tag);
+        let opts = ResumableOptions {
+            window,
+            ..ResumableOptions::default()
+        };
+        sweep_resumable(pl, &DelayModel::default(), vecs, dir.path(), &opts).map(|o| o.outcome)
     }
 
     /// Unlike the sharded sweep, window boundaries are NOT resets: state
@@ -582,9 +389,8 @@ mod tests {
         n.set_output("q0", q0);
         n.set_output("q1", q1);
         let pl = PlNetlist::from_sync(&n).unwrap();
-        let delays = DelayModel::default();
         let vecs: Vec<Vec<bool>> = (0..8).map(|_| Vec::new()).collect();
-        let out = sweep_pipelined(&pl, &delays, &vecs, 2, 4).unwrap();
+        let out = pipelined_sweep(&pl, &vecs, 2, "carry_state").unwrap();
         let counts: Vec<u8> = out
             .outputs
             .iter()
@@ -597,52 +403,14 @@ mod tests {
         );
     }
 
-    /// Leader-diet regression: the record-horizon skip must be invisible
-    /// in results even on a netlist that mixes every record source — an
-    /// input-paced output, a free-running DFF ring output (which *outruns*
-    /// the fed vectors, so its beyond-horizon records must be kept, not
-    /// skipped), and a constant-tied output (recorded at feed time, not by
-    /// a gate firing).
-    #[test]
-    fn pipelined_sweep_leader_diet_is_bit_identical() {
-        let mut n = Netlist::new("mixed");
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let x = n.add_xor2(a, b).unwrap();
-        let q0 = n.add_dff(false);
-        let q1 = n.add_dff(false);
-        let n0 = n.add_not(q0).unwrap();
-        let t1 = n.add_xor2(q1, q0).unwrap();
-        n.set_dff_input(q0, n0).unwrap();
-        n.set_dff_input(q1, t1).unwrap();
-        let c = n.add_const(true);
-        n.set_output("x", x);
-        n.set_output("q1", q1);
-        n.set_output("k", c);
-        let pl = PlNetlist::from_sync(&n).unwrap();
-        let delays = DelayModel::default();
-        let vecs = vectors(23, 0xD1E7);
-        let baseline = PlSimulator::new(&pl, delays.clone())
-            .unwrap()
-            .run_stream(&vecs)
-            .unwrap();
-        for window in [1, 2, 3, 7, 23] {
-            for jobs in [2, 4, 8] {
-                let p = sweep_pipelined(&pl, &delays, &vecs, window, jobs).unwrap();
-                assert_eq!(p, baseline, "window={window} jobs={jobs} diverged");
-            }
-        }
-    }
-
     #[test]
     fn pipelined_sweep_empty_stream_matches_run_stream() {
         let pl = xor_netlist();
-        let delays = DelayModel::default();
-        let direct = PlSimulator::new(&pl, delays.clone())
+        let direct = PlSimulator::new(&pl, DelayModel::default())
             .unwrap()
             .run_stream(&[])
             .unwrap();
-        let piped = sweep_pipelined(&pl, &delays, &[], 4, 8).unwrap();
+        let piped = pipelined_sweep(&pl, &[], 4, "empty").unwrap();
         assert_eq!(piped, direct);
         assert!(piped.outputs.is_empty());
     }
@@ -650,18 +418,17 @@ mod tests {
     #[test]
     fn pipelined_sweep_errors_deterministically_by_window() {
         let pl = xor_netlist();
-        let delays = DelayModel::default();
-        // Vector 5 (window 2 at window-size 2) is malformed; its window's
-        // arity error must win for every worker count.
+        // Vector 5 (window 2 at window-size 2) is malformed; its arity
+        // error must win at every window size, as in `run_stream`.
         let mut vecs = vectors(9, 0xEBB);
         vecs[5] = vec![true];
-        for jobs in [1, 2, 4, 8] {
-            match sweep_pipelined(&pl, &delays, &vecs, 2, jobs) {
+        for window in [1, 2, 4, 9] {
+            match pipelined_sweep(&pl, &vecs, window, &format!("arity_{window}")) {
                 Err(SimError::InputArityMismatch {
                     got: 1,
                     expected: 2,
                 }) => {}
-                other => panic!("jobs={jobs}: expected the arity error, got {other:?}"),
+                other => panic!("window={window}: expected the arity error, got {other:?}"),
             }
         }
     }
@@ -669,8 +436,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "window must be at least 1")]
     fn pipelined_sweep_rejects_zero_window() {
-        let pl = xor_netlist();
-        let _ = sweep_pipelined(&pl, &DelayModel::default(), &vectors(4, 1), 0, 2);
+        let _ = pipelined_sweep(&xor_netlist(), &vectors(4, 1), 0, "zero_window");
     }
 
     #[test]

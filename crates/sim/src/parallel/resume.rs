@@ -1,7 +1,18 @@
-//! Crash-resumable pipelined sweeps: window-boundary checkpoints, a
-//! completed-window journal, bounded worker retry, and in-process
-//! degradation — all pinned bit-identical to an uninterrupted
-//! [`PlSimulator::run_stream`].
+//! Crash-resumable streamed runs: the sequential
+//! [`PlSimulator::run_stream`] fed one window at a time, with a
+//! checkpoint at every window boundary and a journal of completed windows
+//! — pinned bit-identical to an uninterrupted `run_stream`.
+//!
+//! # The run
+//!
+//! [`sweep_resumable`] feeds the stream window by window through
+//! [`PlSimulator::feed_vector`]. At each window boundary it collects every
+//! fed window whose output words are already complete in the record
+//! queues. Collecting never runs an event, and records are write-only to
+//! the event schedule, so it cannot change the run. Each collected window
+//! is appended to the journal, and only then is the boundary checkpoint
+//! written. After the last window the run drains through the same
+//! completion step as `run_stream`.
 //!
 //! # On-disk layout
 //!
@@ -10,8 +21,8 @@
 //! | file | contents |
 //! |------|----------|
 //! | `sweep.meta` | run identity: magic `PLSWMETA`, format version, netlist fingerprint, delay-model digest, vector-stream digest, window size, vector count, trailing CRC32 |
-//! | `journal.bin` | append-only completed-window log; each entry is `len:u32 \| payload \| crc32(payload):u32` with payload `window:u64, last_tick:u64, n_words:u64, width:u64, words as 0/1 bytes` |
-//! | `window-{k:08}.ck` | the [`crate::SimCheckpoint`] wire encoding ([`crate::checkpoint::wire`]) of the leader state at the boundary *before* window `k`, for `k >= 1` (boundary 0 is the fresh simulator — no file needed) |
+//! | `journal.bin` | append-only completed-window log, in window order; each entry is `len:u32 \| payload \| crc32(payload):u32` with payload `window:u64, last_tick:u64, n_words:u64, width:u64, words as 0/1 bytes` |
+//! | `window-{k:08}.ck` | the [`crate::SimCheckpoint`] wire encoding ([`crate::checkpoint::wire`]) of the run after feeding windows `0..k`, for `k >= 1` (boundary 0 is the fresh simulator — no file needed); its [`SimCheckpoint::rounds`] is the number of words already in the journal |
 //!
 //! Every file is written atomically (write `*.tmp`, `sync_all`, rename),
 //! so a kill can leave at worst a stale `*.tmp` (ignored) or a torn
@@ -23,40 +34,30 @@
 //! On `resume`, the runner decodes `sweep.meta` (any corruption is a
 //! typed fatal [`SimError`] — a directory whose identity cannot be
 //! trusted is not resumed), rejects parameter drift with
-//! [`SimError::ResumeMismatch`], replays the journal to learn which
-//! windows already completed, finds the first incomplete window `F`, and
-//! restarts the leader from the *largest decodable* checkpoint boundary
-//! `<= F`. A corrupt or missing `window-k.ck` is recorded in
-//! [`SweepRecovery::corrupt_files`] and routed around by falling back to
-//! the previous boundary (ultimately boundary 0), never trusted: the
-//! wire format's digests and CRCs decide, so resumption is correct even
-//! if every checkpoint file was byte-flipped.
+//! [`SimError::ResumeMismatch`], and reads the journal as an in-order
+//! prefix of windows `0..F`. It then restores the newest decodable
+//! checkpoint whose `rounds()` is at most `F * window` (a newer one whose
+//! journal entries were lost with a torn tail is skipped), or starts from
+//! boundary 0 if there is none. Windows the journal already holds are
+//! re-collected but not re-appended. A corrupt or unreadable
+//! `window-k.ck` is recorded in [`SweepRecovery::corrupt_files`] and
+//! routed around, never trusted: the wire format's digests and CRCs
+//! decide, so resumption is correct even if every checkpoint file was
+//! byte-flipped.
 //!
-//! # Fault tolerance during a run
-//!
-//! Window replays run on a scoped worker pool with `catch_unwind`
-//! isolation. A window whose worker panics or returns an error is
-//! retried up to [`ResumableOptions::max_retries`] times; past the
-//! budget the failure is recorded in [`SweepRecovery::worker_failures`]
-//! and the window degrades to in-process sequential execution on the
-//! caller's thread ([`SweepRecovery::degraded_windows`]) — a determinism
-//! bug that also fails in-process then surfaces as the run's error
-//! rather than being swallowed. Replay is deterministic, so none of this
-//! changes a single output bit.
-//!
-//! Memory note: unlike [`super::sweep_pipelined`], the leader here keeps
-//! recording output words (no pruning), so each `window-k.ck` file is a
-//! *self-contained* restart point decodable in a fresh process. Leader
-//! memory and checkpoint size are therefore O(rounds so far) — the price
-//! of crash-resumability; keep windows coarse for very long sweeps.
+//! Memory note: a checkpoint holds only the output words not yet in the
+//! journal — the windows still in flight at that boundary, not every word
+//! recorded so far — so run memory and each `window-k.ck` stay bounded
+//! by the pipeline depth, however long the stream. (An output with no
+//! primary input in its cone, such as a free-running counter, can record
+//! rounds ahead of the fed vectors; those records stay queued like in
+//! `run_stream`.)
 
-use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicI64, Ordering};
 
 use pl_core::PlNetlist;
 
@@ -65,7 +66,6 @@ use crate::checkpoint::{netlist_fingerprint, Fnv64, SimCheckpoint};
 use crate::delay::{ticks_to_ns, DelayModel};
 use crate::engine::{PlSimulator, StreamOutcome};
 use crate::error::SimError;
-use crate::parallel::effective_jobs;
 
 /// Magic bytes opening `sweep.meta` (distinct from the checkpoint
 /// magic, so the two file kinds can never be confused).
@@ -79,58 +79,32 @@ pub const META_VERSION: u32 = 1;
 pub struct ResumableOptions {
     /// Vectors per window (checkpoint/journal granularity). Must be > 0.
     pub window: usize,
-    /// Worker threads; `0` asks the OS ([`effective_jobs`]).
-    pub jobs: usize,
     /// `true` resumes an interrupted sweep already in the directory;
     /// `false` starts fresh and refuses a directory that has one.
     pub resume: bool,
-    /// Re-attempts granted to a failed or panicked window before it
-    /// degrades to in-process execution (`2` means up to 3 attempts).
-    pub max_retries: u32,
 }
 
 impl Default for ResumableOptions {
     fn default() -> Self {
         Self {
             window: 64,
-            jobs: 0,
             resume: false,
-            max_retries: 2,
         }
     }
 }
 
-/// One window that exhausted its worker retry budget.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowFailure {
-    /// The window index that kept failing.
-    pub window: usize,
-    /// Worker attempts made before giving up (0 if the pool died before
-    /// the window was ever picked up).
-    pub attempts: u32,
-    /// The last failure, rendered (panic payload or [`SimError`]).
-    pub message: String,
-}
-
-/// What recovery and fault handling did during a [`sweep_resumable`]
-/// run — the run's outputs are bit-identical regardless, this is the
-/// audit trail.
+/// What recovery did during a [`sweep_resumable`] run — the run's
+/// outputs are bit-identical regardless, this is the audit trail.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SweepRecovery {
     /// Total windows in the sweep.
     pub windows: usize,
-    /// Windows whose results were taken from the journal instead of
-    /// being re-simulated (0 on a fresh run).
+    /// Windows whose results were taken from the journal (0 on a fresh
+    /// run).
     pub replayed_from_journal: usize,
-    /// The checkpoint boundary the leader restarted from (equals
-    /// `windows` when the journal was already complete).
+    /// The checkpoint boundary the run restarted from (equals `windows`
+    /// when the journal was already complete).
     pub restart_window: usize,
-    /// Windows retried at least once that still succeeded on a worker.
-    pub retried_windows: usize,
-    /// Windows that exhausted the retry budget, oldest first.
-    pub worker_failures: Vec<WindowFailure>,
-    /// Windows re-run in-process after exhausting the retry budget.
-    pub degraded_windows: usize,
     /// Corrupt or unreadable recovery files that were detected and
     /// routed around (`path: error` strings).
     pub corrupt_files: Vec<String>,
@@ -140,14 +114,10 @@ impl fmt::Display for SweepRecovery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} windows, {} from journal, restart at {}, {} retried, \
-             {} failed, {} degraded, {} corrupt files",
+            "{} windows, {} from journal, restart at {}, {} corrupt files",
             self.windows,
             self.replayed_from_journal,
             self.restart_window,
-            self.retried_windows,
-            self.worker_failures.len(),
-            self.degraded_windows,
             self.corrupt_files.len()
         )
     }
@@ -159,17 +129,15 @@ impl fmt::Display for SweepRecovery {
 pub struct ResumableOutcome {
     /// Outputs, makespan, and throughput of the full stream.
     pub outcome: StreamOutcome,
-    /// What recovery and fault handling happened along the way.
+    /// What recovery happened along the way.
     pub recovery: SweepRecovery,
 }
 
 /// Fault-injection hooks for [`sweep_resumable_with_faults`] — the
-/// corruption harness's way to kill workers and halt runs at adversarial
-/// points. A default-constructed plan injects nothing.
+/// corruption harness's way to halt runs at adversarial points. A
+/// default-constructed plan injects nothing.
 #[derive(Debug)]
 pub struct FaultPlan {
-    /// window -> remaining worker panics to inject for that window.
-    panics: Mutex<HashMap<usize, u32>>,
     /// Remaining successful journal appends before the injected halt
     /// (-1 = disabled).
     halt_after: AtomicI64,
@@ -178,7 +146,6 @@ pub struct FaultPlan {
 impl Default for FaultPlan {
     fn default() -> Self {
         Self {
-            panics: Mutex::new(HashMap::new()),
             halt_after: AtomicI64::new(-1),
         }
     }
@@ -191,30 +158,12 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Panics the worker replaying `window` on each of its next `times`
-    /// attempts (each panic kills that worker thread; the window is
-    /// retried by a surviving one).
-    pub fn panic_on_window(&self, window: usize, times: u32) {
-        *lock(&self.panics).entry(window).or_insert(0) += times;
-    }
-
     /// Halts the run with a typed I/O error just before the `(n+1)`-th
     /// journal append — simulating a kill at a window boundary, after
     /// `n` windows durably completed.
     pub fn halt_after_journal_appends(&self, n: u64) {
         self.halt_after
             .store(i64::try_from(n).unwrap_or(i64::MAX), Ordering::SeqCst);
-    }
-
-    fn take_panic(&self, window: usize) -> bool {
-        let mut m = lock(&self.panics);
-        match m.get_mut(&window) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                true
-            }
-            _ => false,
-        }
     }
 
     fn check_halt(&self) -> Result<(), SimError> {
@@ -231,10 +180,6 @@ impl FaultPlan {
             _ => Ok(()),
         }
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn io_err(path: &Path, e: &std::io::Error) -> SimError {
@@ -386,8 +331,9 @@ fn encode_entry(window: usize, last_tick: u64, words: &[Vec<bool>]) -> Vec<u8> {
     out
 }
 
-/// The shape every journal entry must decode into — anything else is
-/// treated as the torn tail of a killed append.
+/// The shape every journal entry must decode into — anything else,
+/// including an entry out of window order, is treated as the torn tail
+/// of a killed append.
 struct JournalShape {
     n_windows: usize,
     window_len: usize,
@@ -402,9 +348,14 @@ impl JournalShape {
     }
 }
 
-/// Parses one `len | payload | crc` frame. `None` means "malformed from
-/// here on" — the caller truncates the tail.
-fn parse_entry(bytes: &[u8], shape: &JournalShape) -> Option<(usize, usize, JournalEntry)> {
+/// Parses one `len | payload | crc` frame, which must hold window
+/// `expected`. `None` means "malformed from here on" — the caller
+/// truncates the tail.
+fn parse_entry(
+    bytes: &[u8],
+    shape: &JournalShape,
+    expected: usize,
+) -> Option<(usize, JournalEntry)> {
     let len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
     let payload = bytes.get(4..4 + len)?;
     let stored = u32::from_le_bytes(bytes.get(4 + len..4 + len + 4)?.try_into().ok()?);
@@ -420,7 +371,11 @@ fn parse_entry(bytes: &[u8], shape: &JournalShape) -> Option<(usize, usize, Jour
     let last_tick = r.u64("journal").ok()?;
     let n_words = usize::try_from(r.u64("journal").ok()?).ok()?;
     let width = usize::try_from(r.u64("journal").ok()?).ok()?;
-    if window >= shape.n_windows || width != shape.width || n_words != shape.words_in(window) {
+    if window != expected
+        || window >= shape.n_windows
+        || width != shape.width
+        || n_words != shape.words_in(window)
+    {
         return None;
     }
     if r.remaining() != n_words.checked_mul(width)? {
@@ -434,29 +389,29 @@ fn parse_entry(bytes: &[u8], shape: &JournalShape) -> Option<(usize, usize, Jour
         }
         words.push(row.iter().map(|&b| b == 1).collect());
     }
-    Some((8 + len, window, JournalEntry { last_tick, words }))
+    Some((8 + len, JournalEntry { last_tick, words }))
 }
 
-/// Replays `journal.bin`: returns the completed windows and, if a torn
-/// tail was found, truncates it away (so the next append lands on a
-/// clean frame boundary) and reports it as a note for
+/// Replays `journal.bin`: returns the completed windows `0..F` in order
+/// and, if a torn tail was found, truncates it away (so the next append
+/// lands on a clean frame boundary) and reports it as a note for
 /// [`SweepRecovery::corrupt_files`].
 fn scan_journal(
     path: &Path,
     shape: &JournalShape,
-) -> Result<(HashMap<usize, JournalEntry>, Option<String>), SimError> {
+) -> Result<(Vec<JournalEntry>, Option<String>), SimError> {
     let bytes = match fs::read(path) {
         Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((HashMap::new(), None)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), None)),
         Err(e) => return Err(io_err(path, &e)),
     };
-    let mut completed = HashMap::new();
+    let mut completed = Vec::new();
     let mut pos = 0usize;
     let mut note = None;
     while pos < bytes.len() {
-        match parse_entry(&bytes[pos..], shape) {
-            Some((consumed, window, entry)) => {
-                completed.insert(window, entry);
+        match parse_entry(&bytes[pos..], shape, completed.len()) {
+            Some((consumed, entry)) => {
+                completed.push(entry);
                 pos += consumed;
             }
             None => {
@@ -510,184 +465,75 @@ impl Journal {
     }
 }
 
-/// One staged window replay.
-struct Task<'v> {
-    window: usize,
-    start_round: usize,
-    vectors: &'v [Vec<bool>],
-    checkpoint: SimCheckpoint,
-}
-
-/// A replayed window's payload: the collected output words plus the
-/// replaying simulator's final tick.
-type WindowResult = (Vec<Vec<bool>>, u64);
-
-/// Per-task batch verdict: attempts made, then the replay result or the
-/// last failure message.
-type TaskResult = (u32, Result<WindowResult, String>);
-
-/// Everything a batch's workers share besides the tasks themselves.
-struct BatchCtx<'a> {
-    pl: &'a PlNetlist,
-    delays: &'a DelayModel,
-    jobs: usize,
-    max_retries: u32,
-    faults: &'a FaultPlan,
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked".to_string()
-    }
-}
-
-/// The batch's work queue: the next never-tried task, the retry stack,
-/// and how many claimed tasks are still being attempted.
-struct BatchQueue {
-    next: usize,
-    retry: Vec<usize>,
-    in_flight: usize,
-}
-
-impl BatchQueue {
-    /// Claims the next task, waiting while the queue is empty but an
-    /// attempt in flight may still push a retry. `None` means the batch
-    /// is drained: nothing queued and nothing in flight.
-    fn claim(queue: &Mutex<Self>, wake: &Condvar, tasks: usize) -> Option<usize> {
-        let mut q = lock(queue);
-        loop {
-            let task = q.retry.pop().or_else(|| {
-                (q.next < tasks).then(|| {
-                    q.next += 1;
-                    q.next - 1
-                })
-            });
-            if let Some(i) = task {
-                q.in_flight += 1;
-                return Some(i);
+/// Restores into `sim` the newest decodable checkpoint whose `rounds()`
+/// is at most `max_rounds` and returns its boundary, or 0 (the fresh
+/// simulator) if there is none. Unreadable or corrupt files are recorded
+/// in `corrupt` and skipped.
+fn restore_newest(
+    sim: &mut PlSimulator<'_>,
+    dir: &Path,
+    delays: &DelayModel,
+    n_windows: usize,
+    max_rounds: u64,
+    corrupt: &mut Vec<String>,
+) -> Result<usize, SimError> {
+    for k in (1..n_windows).rev() {
+        let path = ck_path(dir, k);
+        let bytes = match fs::read(&path) {
+            Ok(b) => b,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+            Err(e) => {
+                corrupt.push(format!("{}: {e}", path.display()));
+                continue;
             }
-            if q.in_flight == 0 {
-                return None;
+        };
+        match SimCheckpoint::from_bytes(&bytes, sim.pl, delays) {
+            Ok(ck) if ck.rounds() <= max_rounds => {
+                sim.restore(&ck)?;
+                return Ok(k);
             }
-            q = wake.wait(q).unwrap_or_else(PoisonError::into_inner);
+            // Newer than the journal: its windows were lost with a torn
+            // journal tail, so an older boundary must re-collect them.
+            Ok(_) => {}
+            Err(e) => corrupt.push(format!("{}: {e}", path.display())),
         }
     }
-
-    /// Ends an attempt at task `i`, queueing it for retry if asked.
-    fn finish(queue: &Mutex<Self>, wake: &Condvar, i: usize, retry: bool) {
-        let mut q = lock(queue);
-        if retry {
-            q.retry.push(i);
-        }
-        q.in_flight -= 1;
-        wake.notify_all();
-    }
+    Ok(0)
 }
 
-/// Replays a batch of windows on up to `jobs` workers with retry.
-///
-/// Workers claim tasks from a shared queue; a failed attempt (error or
-/// caught panic) goes onto a retry stack while the budget lasts. A
-/// panicked worker's simulator state is unreliable, so that worker
-/// thread exits; survivors pick the retry up. A worker that finds the
-/// queue empty waits until no attempt is in flight, so a retry pushed by
-/// a dying worker is never stranded. If the whole pool dies the leftover
-/// tasks simply come back as failures — the caller degrades them
-/// in-process, so the sweep always terminates.
-fn run_batch(ctx: &BatchCtx<'_>, tasks: &[Task<'_>], base: &[usize]) -> Vec<TaskResult> {
-    if tasks.is_empty() {
-        return Vec::new();
+/// Collects window `k` — `len` output words — through the stream's
+/// completion step and appends it to the journal, unless the journal
+/// already holds it (a resumed run re-collects the windows between its
+/// restart checkpoint and the end of the journal).
+fn collect_window(
+    sim: &mut PlSimulator<'_>,
+    k: usize,
+    len: usize,
+    done: &mut Vec<JournalEntry>,
+    journal: &mut Journal,
+    faults: &FaultPlan,
+) -> Result<(), SimError> {
+    let mut last_tick = 0;
+    let words = (0..len)
+        .map(|_| sim.complete_word(&mut last_tick))
+        .collect::<Result<Vec<_>, _>>()?;
+    if let Some(entry) = done.get(k) {
+        debug_assert!(
+            entry.last_tick == last_tick && entry.words == words,
+            "window {k} re-collected differently from its journal entry"
+        );
+        return Ok(());
     }
-    let BatchCtx {
-        pl,
-        jobs,
-        max_retries,
-        faults,
-        ..
-    } = *ctx;
-    let successes: Mutex<Vec<Option<WindowResult>>> =
-        Mutex::new((0..tasks.len()).map(|_| None).collect());
-    let fail_log: Mutex<Vec<Option<String>>> = Mutex::new(vec![None; tasks.len()]);
-    let attempts: Vec<AtomicU32> = tasks.iter().map(|_| AtomicU32::new(0)).collect();
-    let queue = Mutex::new(BatchQueue {
-        next: 0,
-        retry: Vec::new(),
-        in_flight: 0,
-    });
-    let wake = Condvar::new();
-    let workers = effective_jobs(jobs, tasks.len());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let (successes, fail_log, attempts) = (&successes, &fail_log, &attempts);
-            let (queue, wake) = (&queue, &wake);
-            let delays = ctx.delays.clone();
-            scope.spawn(move || {
-                let mut sim = PlSimulator::new(pl, delays)
-                    .expect("the leader already validated this netlist");
-                while let Some(i) = BatchQueue::claim(queue, wake, tasks.len()) {
-                    let t = &tasks[i];
-                    let n = attempts[i].fetch_add(1, Ordering::SeqCst) + 1;
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        if faults.take_panic(t.window) {
-                            panic!(
-                                "injected fault: worker killed replaying window {}",
-                                t.window
-                            );
-                        }
-                        sim.restore(&t.checkpoint)?;
-                        sim.replay_window(t.vectors, t.start_round, base)
-                    }));
-                    match outcome {
-                        Ok(Ok(result)) => {
-                            lock(successes)[i] = Some(result);
-                            BatchQueue::finish(queue, wake, i, false);
-                        }
-                        Ok(Err(e)) => {
-                            lock(fail_log)[i] = Some(e.to_string());
-                            BatchQueue::finish(queue, wake, i, n <= max_retries);
-                        }
-                        Err(payload) => {
-                            lock(fail_log)[i] = Some(panic_message(payload.as_ref()));
-                            BatchQueue::finish(queue, wake, i, n <= max_retries);
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let mut successes = successes
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    let mut fail_log = fail_log
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    (0..tasks.len())
-        .map(|i| {
-            let n = attempts[i].load(Ordering::SeqCst);
-            match successes[i].take() {
-                Some(r) => (n.max(1), Ok(r)),
-                None => (
-                    n,
-                    Err(fail_log[i].take().unwrap_or_else(|| {
-                        "window never completed: worker pool exhausted".to_string()
-                    })),
-                ),
-            }
-        })
-        .collect()
+    journal.append(faults, k, last_tick, &words)?;
+    done.push(JournalEntry { last_tick, words });
+    Ok(())
 }
 
-/// Runs one long vector stream as a crash-resumable pipelined sweep (see
-/// the [module docs](self) for the on-disk layout and recovery rules).
-/// The returned outputs, makespan, and throughput are **bit-identical to
-/// a sequential [`PlSimulator::run_stream`]** for every `(jobs, window)`
-/// combination, across kills, resumes, corrupt checkpoint files, and
-/// worker failures.
+/// Runs one long vector stream as a crash-resumable streamed run (see
+/// the [module docs](self) for the run, the on-disk layout and the
+/// recovery rules). The returned outputs, makespan, and throughput are
+/// **bit-identical to [`PlSimulator::run_stream`]** for every window
+/// size, across kills, resumes and corrupt checkpoint files.
 ///
 /// # Errors
 ///
@@ -699,8 +545,8 @@ fn run_batch(ctx: &BatchCtx<'_>, tasks: &[Task<'_>], base: &[usize]) -> Vec<Task
 ///   `window-*.ck` files are merely routed around).
 /// * [`SimError::ResumeMismatch`] — a resume under a different netlist,
 ///   delay model, vector stream, or window size.
-/// * Any simulation error ([`SimError::Deadlock`], ...) the sequential
-///   run would also report, at the lowest failing window.
+/// * Any simulation error ([`SimError::Deadlock`], ...) that
+///   [`PlSimulator::run_stream`] would also report.
 ///
 /// # Panics
 ///
@@ -735,25 +581,26 @@ pub fn sweep_resumable_with_faults(
     opts: &ResumableOptions,
     faults: &FaultPlan,
 ) -> Result<ResumableOutcome, SimError> {
-    assert!(opts.window > 0, "window must be at least 1");
+    let window = opts.window;
+    assert!(window > 0, "window must be at least 1");
     fs::create_dir_all(dir).map_err(|e| io_err(dir, &e))?;
     let meta_path = dir.join("sweep.meta");
     let meta = MetaFields {
         fingerprint: netlist_fingerprint(pl),
         delay_digest: delay_digest(delays),
         vectors_digest: vectors_digest(vectors),
-        window: opts.window as u64,
+        window: window as u64,
         n_vectors: vectors.len() as u64,
     };
-    let n_windows = vectors.len().div_ceil(opts.window);
+    let n_windows = vectors.len().div_ceil(window);
     let mut recovery = SweepRecovery {
         windows: n_windows,
         ..SweepRecovery::default()
     };
 
-    // Window results, indexed by window. Journal replay fills some of
-    // these on resume; simulation fills the rest.
-    let mut results: Vec<Option<(u64, Vec<Vec<bool>>)>> = (0..n_windows).map(|_| None).collect();
+    // Completed windows, in order: the journal's prefix on resume, then
+    // every window this run collects.
+    let mut done: Vec<JournalEntry> = Vec::with_capacity(n_windows);
 
     if opts.resume {
         let bytes = fs::read(&meta_path).map_err(|e| io_err(&meta_path, &e))?;
@@ -779,7 +626,7 @@ pub fn sweep_resumable_with_faults(
         }
         let shape = JournalShape {
             n_windows,
-            window_len: opts.window,
+            window_len: window,
             n_vectors: vectors.len(),
             width: pl.output_gates().len(),
         };
@@ -788,9 +635,7 @@ pub fn sweep_resumable_with_faults(
         if let Some(n) = note {
             recovery.corrupt_files.push(n);
         }
-        for (k, e) in completed {
-            results[k] = Some((e.last_tick, e.words));
-        }
+        done = completed;
     } else {
         if fs::metadata(&meta_path).is_ok() {
             return Err(SimError::CheckpointIo {
@@ -802,125 +647,47 @@ pub fn sweep_resumable_with_faults(
         write_atomic(&meta_path, &encode_meta(&meta))?;
     }
 
-    // Building the leader also validates the netlist, so worker-side
-    // construction cannot fail once this succeeds.
-    let mut leader = PlSimulator::new(pl, delays.clone())?;
-
-    if let Some(first) = results.iter().position(Option::is_none) {
-        // Restart the leader from the largest decodable boundary <= first;
-        // corrupt checkpoint files are recorded and routed around.
-        let mut restart = 0usize;
-        for k in (1..=first).rev() {
-            let path = ck_path(dir, k);
-            let bytes = match fs::read(&path) {
-                Ok(b) => b,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => {
-                    recovery
-                        .corrupt_files
-                        .push(format!("{}: {e}", path.display()));
-                    continue;
-                }
-            };
-            match SimCheckpoint::from_bytes(&bytes, pl, delays) {
-                Ok(ck) => {
-                    leader.restore(&ck)?;
-                    restart = k;
-                    break;
-                }
-                Err(e) => {
-                    recovery
-                        .corrupt_files
-                        .push(format!("{}: {e}", path.display()));
-                }
-            }
-        }
+    if done.len() < n_windows {
+        let mut sim = PlSimulator::new(pl, delays.clone())?;
+        let restart = restore_newest(
+            &mut sim,
+            dir,
+            delays,
+            n_windows,
+            (done.len() * window) as u64,
+            &mut recovery.corrupt_files,
+        )?;
         recovery.restart_window = restart;
 
-        let chunks: Vec<&[Vec<bool>]> = vectors.chunks(opts.window).collect();
-        let jobs = effective_jobs(opts.jobs, n_windows - first);
-        let batch_cap = 2 * jobs;
-        let base = vec![0usize; pl.output_gates().len()];
+        let chunks: Vec<&[Vec<bool>]> = vectors.chunks(window).collect();
         let mut journal = Journal::open_append(dir.join("journal.bin"))?;
-        let mut leader_err: Option<SimError> = None;
-        let mut k = restart;
-        while k < n_windows && leader_err.is_none() {
-            // Stage a batch: write the boundary checkpoint, queue the
-            // window unless the journal already has it, advance the
-            // leader through its vectors.
-            let mut batch: Vec<Task<'_>> = Vec::new();
-            while k < n_windows && batch.len() < batch_cap {
-                let done = results[k].is_some();
-                if k > 0 || !done {
-                    let ck = leader.snapshot();
-                    if k > 0 {
-                        write_atomic(&ck_path(dir, k), &ck.to_bytes(delays))?;
-                    }
-                    if !done {
-                        batch.push(Task {
-                            window: k,
-                            start_round: k * opts.window,
-                            vectors: chunks[k],
-                            checkpoint: ck,
-                        });
-                    }
-                }
-                let mut fed_err = None;
-                for v in chunks[k] {
-                    if let Err(e) = leader.feed_vector(v) {
-                        fed_err = Some(e);
-                        break;
-                    }
-                }
-                k += 1;
-                if let Some(e) = fed_err {
-                    // The windows already staged may hold the true (lower)
-                    // first error — flush them before reporting this one.
-                    leader_err = Some(e);
-                    break;
-                }
+        // Every collected window is whole: only the last may be short,
+        // and it is collected after the last checkpoint.
+        let mut collected = sim.rounds() as usize / window;
+        for (k, chunk) in chunks.iter().enumerate().skip(restart) {
+            for v in *chunk {
+                sim.feed_vector(v)?;
             }
-            let verdicts = run_batch(
-                &BatchCtx {
-                    pl,
-                    delays,
-                    jobs,
-                    max_retries: opts.max_retries,
+            // Collect every fed window already recorded in full; no
+            // event runs, so the schedule is exactly `run_stream`'s.
+            while collected <= k && sim.ready_words() >= chunks[collected].len() {
+                collect_window(
+                    &mut sim,
+                    collected,
+                    chunks[collected].len(),
+                    &mut done,
+                    &mut journal,
                     faults,
-                },
-                &batch,
-                &base,
-            );
-            for (t, (made, verdict)) in batch.iter().zip(verdicts) {
-                let (words, last) = match verdict {
-                    Ok(r) => {
-                        if made > 1 {
-                            recovery.retried_windows += 1;
-                        }
-                        r
-                    }
-                    Err(message) => {
-                        recovery.worker_failures.push(WindowFailure {
-                            window: t.window,
-                            attempts: made,
-                            message,
-                        });
-                        // Degrade: replay in-process. An error here is the
-                        // deterministic simulation error the sequential
-                        // run would hit — propagate it.
-                        let mut sim = PlSimulator::new(pl, delays.clone())?;
-                        sim.restore(&t.checkpoint)?;
-                        let r = sim.replay_window(t.vectors, t.start_round, &base)?;
-                        recovery.degraded_windows += 1;
-                        r
-                    }
-                };
-                journal.append(faults, t.window, last, &words)?;
-                results[t.window] = Some((last, words));
+                )?;
+                collected += 1;
+            }
+            if k + 1 < n_windows {
+                write_atomic(&ck_path(dir, k + 1), &sim.snapshot().to_bytes(delays))?;
             }
         }
-        if let Some(e) = leader_err {
-            return Err(e);
+        // Drain the windows still in flight, exactly as `run_stream` does.
+        for (k, chunk) in chunks.iter().enumerate().skip(collected) {
+            collect_window(&mut sim, k, chunk.len(), &mut done, &mut journal, faults)?;
         }
     } else {
         recovery.restart_window = n_windows;
@@ -928,10 +695,9 @@ pub fn sweep_resumable_with_faults(
 
     let mut outputs = Vec::with_capacity(vectors.len());
     let mut last = 0u64;
-    for slot in results {
-        let (t, words) = slot.expect("every window resolved");
-        outputs.extend(words);
-        last = last.max(t);
+    for entry in done {
+        outputs.extend(entry.words);
+        last = last.max(entry.last_tick);
     }
     let makespan = ticks_to_ns(last);
     Ok(ResumableOutcome {
@@ -949,13 +715,14 @@ pub fn sweep_resumable_with_faults(
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use pl_netlist::Netlist;
 
-    /// An input-paced XOR output, a free-running DFF counter output, and
-    /// a constant output — every record source in one design, with state
-    /// carried across window boundaries.
+    /// An input-paced XOR output, a free-running DFF counter output (it
+    /// can record rounds ahead of the fed vectors), and a constant output
+    /// (recorded at feed time, not by a gate firing) — every record source
+    /// in one design, with state carried across window boundaries.
     fn mixed_netlist() -> PlNetlist {
         let mut n = Netlist::new("mixed");
         let a = n.add_input("a");
@@ -967,8 +734,10 @@ mod tests {
         let t1 = n.add_xor2(q1, q0).unwrap();
         n.set_dff_input(q0, n0).unwrap();
         n.set_dff_input(q1, t1).unwrap();
+        let c = n.add_const(true);
         n.set_output("x", x);
         n.set_output("q1", q1);
+        n.set_output("k", c);
         PlNetlist::from_sync(&n).unwrap()
     }
 
@@ -996,16 +765,16 @@ mod tests {
     }
 
     /// A per-test scratch directory, removed on drop.
-    struct TempDir(PathBuf);
+    pub(crate) struct TempDir(PathBuf);
 
     impl TempDir {
-        fn new(tag: &str) -> Self {
+        pub(crate) fn new(tag: &str) -> Self {
             let p = std::env::temp_dir().join(format!("pl_resume_{}_{tag}", std::process::id()));
             let _ = fs::remove_dir_all(&p);
             Self(p)
         }
 
-        fn path(&self) -> &Path {
+        pub(crate) fn path(&self) -> &Path {
             &self.0
         }
     }
@@ -1017,24 +786,22 @@ mod tests {
     }
 
     #[test]
-    fn fresh_sweep_matches_run_stream_across_jobs_and_windows() {
+    fn fresh_sweep_matches_run_stream_across_windows() {
         let pl = mixed_netlist();
         let delays = DelayModel::default();
         let vecs = test_vectors(19, 0xC0FFEE);
         let expect = baseline(&pl, &vecs);
-        for (window, jobs) in [(1, 2), (3, 2), (4, 4), (7, 3), (19, 2), (40, 8)] {
-            let dir = TempDir::new(&format!("fresh_{window}_{jobs}"));
+        for window in [1, 2, 3, 4, 7, 19, 40] {
+            let dir = TempDir::new(&format!("fresh_{window}"));
             let opts = ResumableOptions {
                 window,
-                jobs,
                 ..ResumableOptions::default()
             };
             let got = sweep_resumable(&pl, &delays, &vecs, dir.path(), &opts).unwrap();
-            assert_eq!(got.outcome, expect, "window={window} jobs={jobs} diverged");
+            assert_eq!(got.outcome, expect, "window={window} diverged");
             assert_eq!(got.recovery.windows, vecs.len().div_ceil(window));
             assert_eq!(got.recovery.replayed_from_journal, 0);
-            assert!(got.recovery.worker_failures.is_empty());
-            assert_eq!(got.recovery.degraded_windows, 0);
+            assert_eq!(got.recovery.restart_window, 0);
             assert!(got.recovery.corrupt_files.is_empty());
         }
     }
@@ -1047,7 +814,6 @@ mod tests {
         let dir = TempDir::new("complete_resume");
         let opts = ResumableOptions {
             window: 4,
-            jobs: 2,
             ..ResumableOptions::default()
         };
         let first = sweep_resumable(&pl, &delays, &vecs, dir.path(), &opts).unwrap();
@@ -1076,7 +842,6 @@ mod tests {
         let dir = TempDir::new("halt_resume");
         let opts = ResumableOptions {
             window: 3,
-            jobs: 2,
             ..ResumableOptions::default()
         };
         let faults = FaultPlan::new();
@@ -1112,24 +877,30 @@ mod tests {
         let dir = TempDir::new("corrupt_ck");
         let opts = ResumableOptions {
             window: 3,
-            jobs: 2,
             ..ResumableOptions::default()
         };
         let faults = FaultPlan::new();
         faults.halt_after_journal_appends(2);
         sweep_resumable_with_faults(&pl, &delays, &vecs, dir.path(), &opts, &faults)
             .expect_err("the injected halt kills the run");
-        // First incomplete window is 2: truncate its boundary checkpoint
-        // and byte-flip boundary 1's, forcing recovery back to a fresh
-        // leader that re-feeds the journaled windows.
-        let ck2 = ck_path(dir.path(), 2);
-        let bytes = fs::read(&ck2).unwrap();
-        fs::write(&ck2, &bytes[..7]).unwrap();
-        let ck1 = ck_path(dir.path(), 1);
-        let mut bytes = fs::read(&ck1).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xA5;
-        fs::write(&ck1, bytes).unwrap();
+        // Damage every checkpoint the killed run wrote — truncate the
+        // even boundaries, byte-flip the odd ones — forcing recovery back
+        // to a fresh simulator that re-collects the journaled windows.
+        let written: Vec<PathBuf> = (1..vecs.len().div_ceil(3))
+            .map(|k| ck_path(dir.path(), k))
+            .filter(|p| p.exists())
+            .collect();
+        assert!(written.len() >= 2, "the killed run wrote {written:?}");
+        for (i, ck) in written.iter().enumerate() {
+            let mut bytes = fs::read(ck).unwrap();
+            if i % 2 == 0 {
+                bytes.truncate(7);
+            } else {
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0xA5;
+            }
+            fs::write(ck, bytes).unwrap();
+        }
         let resumed = sweep_resumable(
             &pl,
             &delays,
@@ -1145,8 +916,8 @@ mod tests {
         assert_eq!(resumed.recovery.restart_window, 0);
         assert_eq!(
             resumed.recovery.corrupt_files.len(),
-            2,
-            "both damaged files must be reported: {:?}",
+            written.len(),
+            "every damaged file must be reported: {:?}",
             resumed.recovery.corrupt_files
         );
     }
@@ -1160,7 +931,6 @@ mod tests {
         let dir = TempDir::new("torn_tail");
         let opts = ResumableOptions {
             window: 3,
-            jobs: 2,
             ..ResumableOptions::default()
         };
         let faults = FaultPlan::new();
@@ -1193,89 +963,53 @@ mod tests {
         );
     }
 
+    /// A journal that lost whole entries (cut at a frame boundary) leaves
+    /// checkpoints newer than its prefix: they must be skipped — not
+    /// reported corrupt — in favour of an older boundary that re-collects
+    /// the lost windows.
     #[test]
-    fn panicked_worker_window_is_retried_and_stays_identical() {
+    fn checkpoint_newer_than_the_journal_is_skipped() {
         let pl = mixed_netlist();
         let delays = DelayModel::default();
-        let vecs = test_vectors(20, 0x9A1C);
+        let vecs = test_vectors(20, 0x5EC0);
         let expect = baseline(&pl, &vecs);
-        let dir = TempDir::new("retry");
+        let dir = TempDir::new("newer_ck");
         let opts = ResumableOptions {
             window: 3,
-            jobs: 4,
-            max_retries: 2,
             ..ResumableOptions::default()
         };
         let faults = FaultPlan::new();
-        faults.panic_on_window(1, 1);
-        faults.panic_on_window(4, 1);
-        let got = sweep_resumable_with_faults(&pl, &delays, &vecs, dir.path(), &opts, &faults)
-            .expect("retries absorb the injected panics");
-        assert_eq!(got.outcome, expect);
-        assert!(got.recovery.retried_windows >= 1, "{}", got.recovery);
-        assert!(got.recovery.worker_failures.is_empty(), "{}", got.recovery);
-        assert_eq!(got.recovery.degraded_windows, 0);
-    }
-
-    /// The retry of a panicked window must never be stranded by a
-    /// surviving worker that found the queue empty and left while the
-    /// panicking attempt was still in flight.
-    #[test]
-    fn panicked_worker_retry_is_never_lost_across_repeats() {
-        let pl = mixed_netlist();
-        let delays = DelayModel::default();
-        let vecs = test_vectors(20, 0x9A1C);
-        let expect = baseline(&pl, &vecs);
-        let opts = ResumableOptions {
-            window: 3,
-            jobs: 4,
-            max_retries: 2,
-            ..ResumableOptions::default()
-        };
-        for rep in 0..100 {
-            let dir = TempDir::new(&format!("retry_repeat_{rep}"));
-            let faults = FaultPlan::new();
-            faults.panic_on_window(1, 1);
-            faults.panic_on_window(4, 1);
-            let got = sweep_resumable_with_faults(&pl, &delays, &vecs, dir.path(), &opts, &faults)
-                .expect("retries absorb the injected panics");
-            assert_eq!(got.outcome, expect, "repeat {rep} diverged");
-            assert_eq!(
-                got.recovery.degraded_windows, 0,
-                "repeat {rep}: {}",
-                got.recovery
-            );
-            assert!(got.recovery.worker_failures.is_empty(), "repeat {rep}");
-        }
-    }
-
-    #[test]
-    fn exhausted_retries_degrade_in_process_not_swallowed() {
-        let pl = mixed_netlist();
-        let delays = DelayModel::default();
-        let vecs = test_vectors(20, 0xDE6);
-        let expect = baseline(&pl, &vecs);
-        let dir = TempDir::new("degrade");
-        let opts = ResumableOptions {
-            window: 3,
-            jobs: 4,
-            max_retries: 1,
-            ..ResumableOptions::default()
-        };
-        let faults = FaultPlan::new();
-        faults.panic_on_window(2, u32::MAX);
-        let got = sweep_resumable_with_faults(&pl, &delays, &vecs, dir.path(), &opts, &faults)
-            .expect("the degraded window still completes in-process");
-        assert_eq!(got.outcome, expect, "degraded run diverged");
-        assert_eq!(got.recovery.degraded_windows, 1);
-        assert_eq!(got.recovery.worker_failures.len(), 1);
-        let failure = &got.recovery.worker_failures[0];
-        assert_eq!(failure.window, 2);
+        faults.halt_after_journal_appends(3);
+        sweep_resumable_with_faults(&pl, &delays, &vecs, dir.path(), &opts, &faults)
+            .expect_err("the injected halt kills the run");
+        let newest = (1..7)
+            .rev()
+            .find(|&k| ck_path(dir.path(), k).exists())
+            .unwrap();
+        // Keep only the first journal frame (`len | payload | crc`).
+        let journal = dir.path().join("journal.bin");
+        let bytes = fs::read(&journal).unwrap();
+        let first = 8 + u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+        fs::write(&journal, &bytes[..first]).unwrap();
+        let resumed = sweep_resumable(
+            &pl,
+            &delays,
+            &vecs,
+            dir.path(),
+            &ResumableOptions {
+                resume: true,
+                ..opts
+            },
+        )
+        .unwrap();
+        assert_eq!(resumed.outcome, expect);
+        assert_eq!(resumed.recovery.replayed_from_journal, 1);
         assert!(
-            failure.message.contains("injected fault"),
-            "the real panic payload must be reported, got: {}",
-            failure.message
+            resumed.recovery.restart_window < newest,
+            "restarted at {} although window-{newest}.ck is past the journal",
+            resumed.recovery.restart_window
         );
+        assert!(resumed.recovery.corrupt_files.is_empty());
     }
 
     #[test]
@@ -1286,7 +1020,6 @@ mod tests {
         let dir = TempDir::new("refuse_reuse");
         let opts = ResumableOptions {
             window: 2,
-            jobs: 2,
             ..ResumableOptions::default()
         };
         sweep_resumable(&pl, &delays, &vecs, dir.path(), &opts).unwrap();
@@ -1304,7 +1037,6 @@ mod tests {
         let dir = TempDir::new("mismatch");
         let opts = ResumableOptions {
             window: 2,
-            jobs: 2,
             ..ResumableOptions::default()
         };
         sweep_resumable(&pl, &delays, &vecs, dir.path(), &opts).unwrap();
@@ -1351,7 +1083,6 @@ mod tests {
         let dir = TempDir::new("corrupt_meta");
         let opts = ResumableOptions {
             window: 2,
-            jobs: 2,
             ..ResumableOptions::default()
         };
         sweep_resumable(&pl, &delays, &vecs, dir.path(), &opts).unwrap();
@@ -1421,17 +1152,11 @@ mod tests {
             windows: 7,
             replayed_from_journal: 3,
             restart_window: 3,
-            retried_windows: 1,
-            worker_failures: vec![WindowFailure {
-                window: 5,
-                attempts: 3,
-                message: "boom".into(),
-            }],
-            degraded_windows: 1,
             corrupt_files: vec!["x.ck: bad".into()],
         };
         let s = r.to_string();
         assert!(s.contains("7 windows"), "{s}");
-        assert!(s.contains("1 degraded"), "{s}");
+        assert!(s.contains("restart at 3"), "{s}");
+        assert!(s.contains("1 corrupt files"), "{s}");
     }
 }

@@ -23,7 +23,10 @@ use pl_core::ee::EeOptions;
 use pl_core::trigger::{search_triggers_baseline, TriggerCache};
 use pl_core::{PlGateId, PlGateKind, PlNetlist};
 use pl_netlist::Netlist;
-use pl_sim::{DelayModel, LatencySchedule, PlSimulator, ReferenceSimulator};
+use pl_sim::{
+    DelayModel, FaultPlan, LatencySchedule, PlSimulator, ReferenceSimulator, ResumableOptions,
+    SimError,
+};
 use pl_techmap::{map_to_lut4, MapOptions};
 
 const LATENCY_TOL_NS: f64 = 1e-6; // one femtosecond tick
@@ -346,14 +349,16 @@ fn parallel_sweep_bit_identical_on_random_netlists() {
     }
 }
 
-// ---- checkpoint/resume + pipelined single-stream determinism -----------
+// ---- checkpoint/resume + resumable streamed-run determinism ------------
 //
 // The checkpoint subsystem (`pl_sim::SimCheckpoint`) must be invisible to
 // the simulation: a run resumed from a snapshot is bit-identical to the
-// uninterrupted run, and the pipelined single-stream sweep built on it
-// (`pl_sim::sweep_pipelined` — leader pass + window replay workers) must
-// reproduce a sequential `run_stream` exactly — outputs AND f64
-// makespans/throughputs compared bitwise — at every (jobs, window).
+// uninterrupted run, and the crash-resumable streamed run built on it
+// (`pl_sim::sweep_resumable` — `run_stream` fed window by window with a
+// checkpoint at every boundary) must reproduce a fresh `run_stream`
+// exactly — outputs AND f64 makespans/throughputs compared bitwise — at
+// every window size, uninterrupted or killed after any journal append
+// and resumed.
 
 /// Asserts that snapshotting `pl` after `split` vectors and resuming on a
 /// fresh simulator reproduces the uninterrupted per-vector run exactly,
@@ -405,13 +410,32 @@ fn assert_checkpoint_resume_identical(pl: &PlNetlist, vecs: &[Vec<bool>], contex
     }
 }
 
-/// Asserts the pipelined sweep reproduces `run_stream` bitwise on `pl`
-/// for every `(jobs, window)` combination given.
-fn assert_pipelined_matches_run_stream(
+/// A unique per-test scratch directory, removed on drop.
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("pl_eq_{}_{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Self(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Asserts the resumable sweep reproduces a fresh `run_stream` bitwise on
+/// `pl` at every window size given: for each possible journal-append
+/// count `k`, a run halted after `k` appends (or, at `k` = the window
+/// count, one that completes) and then resumed must equal the baseline —
+/// and so must the completing run itself.
+fn assert_resumable_matches_run_stream(
     pl: &PlNetlist,
     vecs: &[Vec<bool>],
     windows: &[usize],
-    jobs_counts: &[usize],
     context: &str,
 ) {
     let delays = DelayModel::default();
@@ -419,18 +443,52 @@ fn assert_pipelined_matches_run_stream(
         .expect("builds")
         .run_stream(vecs)
         .expect("streams");
+    let same = |got: &pl_sim::StreamOutcome, what: &str| {
+        assert_eq!(got.outputs, baseline.outputs, "{context}: {what}: outputs");
+        assert_eq!(
+            (got.makespan.to_bits(), got.throughput.to_bits()),
+            (baseline.makespan.to_bits(), baseline.throughput.to_bits()),
+            "{context}: {what}: makespan/throughput"
+        );
+    };
     for &window in windows {
-        for &jobs in jobs_counts {
-            let piped =
-                pl_sim::sweep_pipelined(pl, &delays, vecs, window, jobs).unwrap_or_else(|e| {
-                    panic!("{context}: pipelined sweep failed at window={window} jobs={jobs}: {e}")
-                });
-            // StreamOutcome's PartialEq covers outputs, makespan and
-            // throughput — an exact f64 comparison, no tolerance.
+        let n_windows = vecs.len().div_ceil(window);
+        for halt in 0..=n_windows {
+            let what = format!("window={window} halt after {halt} appends");
+            let dir = TempDir::new(&format!("{}_{window}_{halt}", context.replace(' ', "_")));
+            let opts = ResumableOptions {
+                window,
+                resume: false,
+            };
+            let faults = FaultPlan::new();
+            faults.halt_after_journal_appends(halt as u64);
+            match pl_sim::sweep_resumable_with_faults(pl, &delays, vecs, &dir.0, &opts, &faults) {
+                Ok(done) if halt == n_windows => same(&done.outcome, &what),
+                Err(SimError::CheckpointIo { ref path, .. })
+                    if halt < n_windows && path == "<fault-injection>" => {}
+                other => panic!("{context}: {what}: unexpected first run {other:?}"),
+            }
+            let resumed = pl_sim::sweep_resumable(
+                pl,
+                &delays,
+                vecs,
+                &dir.0,
+                &ResumableOptions {
+                    resume: true,
+                    ..opts
+                },
+            )
+            .unwrap_or_else(|e| panic!("{context}: {what}: resume failed: {e}"));
             assert_eq!(
-                piped, baseline,
-                "{context}: window={window} jobs={jobs} diverged from run_stream"
+                resumed.recovery.replayed_from_journal, halt,
+                "{context}: {what}: journal prefix"
             );
+            assert!(
+                resumed.recovery.corrupt_files.is_empty(),
+                "{context}: {what}: {}",
+                resumed.recovery
+            );
+            same(&resumed.outcome, &what);
         }
     }
 }
@@ -446,46 +504,69 @@ fn checkpoint_resume_bit_identical_on_itc99_suite() {
     }
 }
 
-/// Pipelined-vs-sequential across the full ITC'99 suite (plain + EE) at
-/// several window sizes and worker counts.
+/// Resumable-vs-sequential across the full ITC'99 suite (plain + EE):
+/// the single-vector window, two interior sizes, and a window larger than
+/// the whole stream, each killed after every possible journal append.
+/// The benchmarks are scattered across the host's cores.
 #[test]
-fn pipelined_sweep_bit_identical_on_itc99_suite() {
-    for bench in pl_itc99::catalog() {
+fn resumable_sweep_bit_identical_on_itc99_suite() {
+    let catalog = pl_itc99::catalog();
+    pl_sim::scatter_gather(0, &catalog, |_, bench| {
         let (plain, ee) = itc99_netlists(bench.id);
         let vecs = vectors(plain.input_gates().len(), 9, seed_for(bench.id, 0x9199));
-        assert_pipelined_matches_run_stream(
+        let windows = [1, 2, 5, vecs.len() + 5];
+        assert_resumable_matches_run_stream(
             &plain,
             &vecs,
-            &[2, 5],
-            &[2, 4],
+            &windows,
             &format!("{} plain", bench.id),
         );
-        assert_pipelined_matches_run_stream(
-            &ee,
-            &vecs,
-            &[2, 5],
-            &[2, 4],
-            &format!("{} ee", bench.id),
-        );
-    }
+        assert_resumable_matches_run_stream(&ee, &vecs, &windows, &format!("{} ee", bench.id));
+    });
 }
 
-/// The small benchmarks additionally sweep the full worker/window grid,
-/// including the degenerate single-vector window and a window larger than
-/// the whole stream.
+/// A resumable run's checkpoints hold only the output words not yet in
+/// the journal, so on a long b14 stream every `window-k.ck` stays within
+/// one window's records (`value u8 + tick u64` per output per vector in
+/// the scalar wire format) of `window-1.ck`, instead of growing with
+/// every word recorded so far.
 #[test]
-fn pipelined_sweep_full_grid_on_small_benchmarks() {
-    for id in ["b01", "b03", "b06", "b09"] {
-        let (plain, ee) = itc99_netlists(id);
-        let vecs = vectors(plain.input_gates().len(), 10, seed_for(id, 0x6121D));
-        let windows = [1, 2, 3, vecs.len() + 5];
-        let jobs = [1, 2, 4, 8];
-        assert_pipelined_matches_run_stream(&plain, &vecs, &windows, &jobs, &format!("{id} plain"));
-        assert_pipelined_matches_run_stream(&ee, &vecs, &windows, &jobs, &format!("{id} ee"));
+fn resumable_checkpoints_stay_bounded_on_b14() {
+    let (plain, ee) = itc99_netlists("b14");
+    let window = 4;
+    let vecs = vectors(
+        plain.input_gates().len(),
+        32 * window,
+        seed_for("b14", 0xB0DD),
+    );
+    for (pl, variant) in [(&plain, "plain"), (&ee, "ee")] {
+        let dir = TempDir::new(&format!("bounded_{variant}"));
+        let opts = ResumableOptions {
+            window,
+            resume: false,
+        };
+        let out = pl_sim::sweep_resumable(pl, &DelayModel::default(), &vecs, &dir.0, &opts)
+            .expect("sweeps");
+        assert_eq!(out.recovery.windows, 32);
+        let size = |k: usize| {
+            std::fs::metadata(dir.0.join(format!("window-{k:08}.ck")))
+                .unwrap_or_else(|e| panic!("{variant}: window-{k}.ck: {e}"))
+                .len()
+        };
+        let one_window = (window * pl.output_gates().len() * 9) as u64;
+        let bound = size(1) + one_window;
+        for k in 2..32 {
+            assert!(
+                size(k) <= bound,
+                "{variant}: window-{k}.ck is {} bytes, over window-1.ck + one window = {bound}",
+                size(k)
+            );
+        }
     }
 }
 
-/// Randomized netlists through the checkpoint and pipelined harnesses.
+/// Randomized netlists through the checkpoint harness and the resumable
+/// streamed (pipelined) run, killed after every possible journal append.
 #[test]
 fn checkpoint_and_pipelined_bit_identical_on_random_netlists() {
     let mut rng = Lcg::new(0xC4EC_4501_21D0_0003);
@@ -502,8 +583,9 @@ fn checkpoint_and_pipelined_bit_identical_on_random_netlists() {
         let vecs = vectors(mapped.inputs().len(), 8, rng.next_u64());
         assert_checkpoint_resume_identical(&plain, &vecs, "random plain");
         assert_checkpoint_resume_identical(&ee, &vecs, "random ee");
-        assert_pipelined_matches_run_stream(&plain, &vecs, &[1, 3], &[2, 8], "random plain");
-        assert_pipelined_matches_run_stream(&ee, &vecs, &[1, 3], &[2, 8], "random ee");
+        let windows = [1, 2, 5, vecs.len() + 5];
+        assert_resumable_matches_run_stream(&plain, &vecs, &windows, "random plain");
+        assert_resumable_matches_run_stream(&ee, &vecs, &windows, "random ee");
         tested += 1;
     }
 }
