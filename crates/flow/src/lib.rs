@@ -161,12 +161,13 @@ mod tests {
     /// `SimReport::jobs` is the worker count the simulate stage used, not
     /// the request: `0` resolves to the host's cores, and either is
     /// clamped to the work items — the two variants of the per-vector and
-    /// streamed protocols, the substream blocks of the lane protocol.
+    /// streamed protocols, variant × lane block of the lane protocol (one
+    /// 64-lane block, or 64 one-lane substreams, per variant).
     #[test]
     fn sim_report_jobs_is_the_resolved_worker_count() {
         let src = CircuitSource::catalog("b01").unwrap();
         let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        let run = |jobs: usize, window: Option<usize>, lanes: Option<usize>| {
+        let art = |jobs: usize, window: Option<usize>, lanes: Option<usize>| {
             Pipeline::new(FlowOptions {
                 vectors: 4,
                 verify: false,
@@ -177,17 +178,20 @@ mod tests {
             })
             .run(&src)
             .unwrap()
-            .report
-            .simulate
-            .jobs
         };
+        let run = |jobs, window, lanes| art(jobs, window, lanes).report.simulate.jobs;
         assert_eq!(run(0, None, None), cores.min(2));
         assert_eq!(run(64, None, None), 2);
         assert_eq!(run(0, Some(3), None), cores.min(2));
         assert_eq!(run(64, Some(3), None), 2);
-        assert_eq!(run(64, None, Some(64)), 1);
+        assert_eq!(run(64, None, Some(64)), 2);
+        assert_eq!(run(2, None, Some(64)), 2);
+        assert_eq!(
+            art(2, None, Some(64)).outputs,
+            art(1, None, Some(64)).outputs
+        );
         assert_eq!(run(64, None, Some(1)), 64);
-        assert_eq!(run(0, None, Some(1)), cores.min(64));
+        assert_eq!(run(0, None, Some(1)), cores.min(128));
         let plain_only = Pipeline::new(FlowOptions {
             vectors: 4,
             verify: false,
@@ -374,6 +378,43 @@ mod tests {
         }
         .validate()
         .unwrap();
+    }
+
+    /// Verify checks every word: a `Simulated` one output word short is a
+    /// typed mismatch (it used to pass on the shared prefix), and a
+    /// flipped bit is named by its vector under both reference layouts.
+    #[test]
+    fn verify_rejects_missing_and_flipped_output_words() {
+        let src = CircuitSource::catalog("b03").unwrap();
+        for lanes in [None, Some(64)] {
+            let pipeline = Pipeline::new(FlowOptions {
+                vectors: 100,
+                lanes,
+                ..FlowOptions::default()
+            });
+            let mapped = pipeline
+                .techmap(pipeline.optimize(pipeline.ingest(&src).unwrap()).unwrap())
+                .unwrap();
+            let early = pipeline.early_eval(pipeline.phased(&mapped).unwrap());
+            let sim = pipeline.simulate(&early).unwrap();
+            assert_eq!(pipeline.verify(&mapped.netlist, &sim).unwrap().vectors, 100);
+            let mut short = sim.clone();
+            short.outputs.pop();
+            match pipeline.verify(&mapped.netlist, &short) {
+                Err(FlowError::Mismatch { context }) => {
+                    assert!(context.contains("99 output words for 100"), "{context}");
+                }
+                other => panic!("{lanes:?}: expected a mismatch, got {other:?}"),
+            }
+            let mut flipped = sim.clone();
+            flipped.outputs[70][0] ^= true;
+            match pipeline.verify(&mapped.netlist, &flipped) {
+                Err(FlowError::Mismatch { context }) => {
+                    assert!(context.contains("vector 70 "), "{context}");
+                }
+                other => panic!("{lanes:?}: expected a mismatch, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -71,7 +71,7 @@ use pl_core::PlNetlist;
 use pl_lint::{LintOptions, LintReport};
 use pl_netlist::blif::BlifNote;
 use pl_netlist::Netlist;
-use pl_sim::{DelayModel, LatencyStats, PlSimulator, ResumableOptions, SweepRecovery};
+use pl_sim::{DelayModel, LatencySchedule, LatencyStats, ResumableOptions, SweepRecovery};
 use pl_techmap::{map_with_memo, MapMemo, MapOptions, MapReuseStats, ReusePlan};
 
 use crate::error::FlowError;
@@ -94,15 +94,16 @@ pub struct FlowOptions {
     /// Cross-check PL outputs against the synchronous reference.
     pub verify: bool,
     /// Worker threads for the simulate stage (`0` = one per core): the
-    /// plain and EE variants of the per-vector and streamed protocols
-    /// run concurrently, and the lane protocol scatters its substream
-    /// blocks. Results are bit-identical at any value.
+    /// plain and EE variants run concurrently, and under the lane
+    /// protocol each variant's lane blocks too (one 64-lane block, or 64
+    /// one-lane substreams). Results are bit-identical at any value.
     pub jobs: usize,
     /// When set, the simulate stage runs the *streamed* protocol instead
     /// of the per-vector latency protocol: each variant's vector stream
-    /// is one sequential [`pl_sim::PlSimulator::run_stream`] (vectors fed
-    /// without waiting for output words), and the variants run across
-    /// [`FlowOptions::jobs`]. The window is the stream's checkpoint
+    /// is one sequential streamed run (vectors fed without waiting for
+    /// output words) — [`pl_sim::LatencySchedule::run_stream`], or the
+    /// event engine under [`FlowOptions::checkpoint_dir`] — and the
+    /// variants run across [`FlowOptions::jobs`]. The window is the stream's checkpoint
     /// granularity under [`FlowOptions::checkpoint_dir`]; it never changes
     /// the result. Latency statistics are empty in this mode (a pipelined
     /// stream has no per-vector stable-input→stable-output latency);
@@ -110,14 +111,15 @@ pub struct FlowOptions {
     pub window: Option<usize>,
     /// When set, the simulate stage runs the *lane* protocol: the vector
     /// stream is striped 64 ways (vector `i` → substream `i % 64`, round
-    /// `i / 64`; each substream is an independent run from the initial
-    /// marking) and the substreams are swept together — on 64 scalar
-    /// simulators with `Some(1)`, or on the word-parallel
-    /// [`pl_sim::BatchSimulator`] with `Some(64)`, which marches all 64
-    /// substreams through a *single* event flow with `u64` lane words.
-    /// The striping is identical for both widths, so their reassembled
-    /// outputs are bit-identical — `--lanes 1` vs `--lanes 64` diffs
-    /// cleanly even on stateful designs. Only `1` and `64` are accepted;
+    /// `i / 64`; each substream is an independent streamed run from the
+    /// initial marking) on the static schedule
+    /// ([`pl_sim::LatencySchedule::run_stream`]) — as 64 one-lane runs
+    /// with `Some(1)`, or with `Some(64)` as one run of `u64` lane words
+    /// carrying all 64 substreams (bit-identical to
+    /// [`pl_sim::BatchSimulator::run_lanes`]). The striping is identical
+    /// for both widths, so their reassembled outputs are bit-identical —
+    /// `--lanes 1` vs `--lanes 64` diffs cleanly even on stateful
+    /// designs. Only `1` and `64` are accepted;
     /// mutually exclusive with [`FlowOptions::window`] and
     /// [`FlowOptions::checkpoint_dir`]. Latency statistics are empty in
     /// this mode (substreams measure values, not per-vector latency).
@@ -213,7 +215,7 @@ impl FlowOptions {
         if let Some(lanes) = self.lanes {
             if lanes != 1 && lanes != 64 {
                 return reject(format!(
-                    "--lanes {lanes} is not a supported width (1 = scalar engines, 64 = batch engine)"
+                    "--lanes {lanes} is not a supported width (1 = one-lane runs, 64 = 64-lane words)"
                 ));
             }
             if self.window.is_some() {
@@ -410,14 +412,14 @@ pub struct SimReport {
     pub vectors: usize,
     /// Worker threads the simulate stage used: the [`FlowOptions::jobs`]
     /// request resolved against the work items (the variants, or the
-    /// lane protocol's substream blocks).
+    /// lane protocol's variant × lane-block items).
     pub jobs: usize,
     /// Checkpoint-window size when the streamed protocol ran
     /// (see [`FlowOptions::window`]); `None` for the per-vector protocol.
     pub window: Option<usize>,
     /// Lane width when the lane protocol ran (see
-    /// [`FlowOptions::lanes`]): `Some(1)` for 64 scalar substreams,
-    /// `Some(64)` for the word-parallel batch engine; `None` otherwise.
+    /// [`FlowOptions::lanes`]): `Some(1)` for 64 one-lane substream runs,
+    /// `Some(64)` for one run of 64-lane words; `None` otherwise.
     pub lanes: Option<usize>,
     /// Recovery audit trail of the plain variant when the crash-resumable
     /// sweep ran (see [`FlowOptions::checkpoint_dir`]); `None` otherwise.
@@ -800,20 +802,28 @@ impl Pipeline {
 
     /// **Stage 6 — simulate**: runs seeded random vectors through every
     /// variant and asserts the EE variant's outputs equal the plain
-    /// variant's. Two protocols, selected by [`FlowOptions::window`]:
+    /// variant's. Three protocols, selected by [`FlowOptions::window`]
+    /// and [`FlowOptions::lanes`]:
     ///
-    /// * **Per-vector** (`window: None`, the paper's Table 3 protocol) —
-    ///   measures stable-input→stable-output latency vector by vector.
+    /// * **Per-vector** (neither set, the paper's Table 3 protocol) —
+    ///   measures stable-input→stable-output latency vector by vector
+    ///   ([`pl_sim::measure_latency_on`]).
     /// * **Streamed** (`window: Some(n)`) — pipelines the whole vector
     ///   stream through each variant as one sequential
-    ///   [`pl_sim::PlSimulator::run_stream`], reporting makespan and
+    ///   [`pl_sim::LatencySchedule::run_stream`], reporting makespan and
     ///   throughput instead of per-vector latencies. With
-    ///   [`FlowOptions::checkpoint_dir`] set, the same run is checkpointed
-    ///   every `n` vectors ([`pl_sim::sweep_resumable`]: on-disk
-    ///   checkpoints + journal, kill/resume recovery) and the report
-    ///   carries each variant's [`SweepRecovery`] audit trail.
+    ///   [`FlowOptions::checkpoint_dir`] set, the same run is made on the
+    ///   event engine and checkpointed every `n` vectors
+    ///   ([`pl_sim::sweep_resumable`]: on-disk checkpoints + journal,
+    ///   kill/resume recovery) and the report carries each variant's
+    ///   [`SweepRecovery`] audit trail. Both give the same outcome.
+    /// * **Lane** (`lanes: Some(w)`) — stripes the stream 64 ways and runs
+    ///   the 64 substreams streamed, as 64 one-lane runs (`w = 1`) or as
+    ///   one run of 64-lane words packed straight from the vectors
+    ///   (`w = 64`); the outputs are unpacked in vector order.
     ///
-    /// Both protocols scatter the plain/EE variants across
+    /// Every protocol scatters its work items — the plain/EE variants,
+    /// and under the lane protocol each variant's lane blocks — across
     /// [`FlowOptions::jobs`] workers, and the results are bit-identical
     /// at any worker count.
     ///
@@ -834,15 +844,12 @@ impl Pipeline {
             self.opts.seed,
         );
         let variants: Vec<&PlNetlist> = std::iter::once(&ee.plain).chain(ee.ee.as_ref()).collect();
-        // Lane runs scatter blocks of `lanes` substreams (64 in total);
-        // the other protocols scatter the variants.
-        let items = self
-            .opts
-            .lanes
-            .map_or(variants.len(), |lanes| 64usize.div_ceil(lanes));
+        // The work items: the variants, each split into lane blocks under
+        // the lane protocol.
+        let blocks = self.opts.lanes.map_or(1, |lanes| 64 / lanes);
         let report = SimReport {
             vectors: self.opts.vectors,
-            jobs: pl_sim::parallel::effective_jobs(self.opts.jobs, items),
+            jobs: pl_sim::parallel::effective_jobs(self.opts.jobs, variants.len() * blocks),
             window: self.opts.window,
             lanes: self.opts.lanes,
             recovery_plain: None,
@@ -850,34 +857,31 @@ impl Pipeline {
             secs: 0.0,
         };
         if let Some(lanes) = self.opts.lanes {
-            // Lane protocol: stripe the stream 64 ways (vector i →
-            // substream i % 64), sweep the substreams on scalar engines
-            // (lanes = 1) or one batch engine per 64-block (lanes = 64),
-            // and reassemble in vector order. The striping is width-
-            // invariant, so both widths produce identical outputs.
-            let mut subs: Vec<Vec<Vec<bool>>> = vec![Vec::new(); 64];
-            for (i, v) in inputs.iter().enumerate() {
-                subs[i % 64].push(v.clone());
-            }
-            let sweep = |pl: &PlNetlist| {
-                if lanes == 64 {
-                    pl_sim::sweep_streams_batch(pl, &self.opts.delays, &subs, self.opts.jobs)
-                } else {
-                    pl_sim::sweep_streams(pl, &self.opts.delays, &subs, self.opts.jobs)
-                }
+            // Lane protocol: stripe the stream 64 ways (vector i → lane
+            // i % 64, round i / 64), each lane an independent run from the
+            // initial marking. The work items are variant × block of
+            // `lanes` lanes: 64 one-lane substreams, or one 64-lane word
+            // stream. The striping is width-invariant, so both widths
+            // produce identical outputs.
+            let items: Vec<(usize, usize)> = (0..variants.len())
+                .flat_map(|v| (0..blocks).map(move |b| (v, b)))
+                .collect();
+            let runs = pl_sim::parallel::scatter_gather(self.opts.jobs, &items, |_, &(v, b)| {
+                self.run_lane_block(variants[v], &inputs, lanes, b)
+            });
+            let mut words = runs.into_iter();
+            let mut reassemble = || -> Result<Vec<Vec<bool>>, FlowError> {
+                let per_block = words.by_ref().take(blocks).collect::<Result<Vec<_>, _>>()?;
+                let mut cursors: Vec<_> = per_block.into_iter().map(Vec::into_iter).collect();
+                Ok((0..inputs.len())
+                    .map(|i| cursors[i % 64 / lanes].next().expect("one word per vector"))
+                    .collect())
             };
-            let reassemble = |outs: &[pl_sim::StreamOutcome]| -> Vec<Vec<bool>> {
-                (0..inputs.len())
-                    .map(|i| outs[i % 64].outputs[i / 64].clone())
-                    .collect()
-            };
-            let outputs = reassemble(&sweep(&ee.plain)?);
-            if let Some(pl) = &ee.ee {
-                if reassemble(&sweep(pl)?) != outputs {
-                    return Err(FlowError::Mismatch {
-                        context: format!("{} (EE vs plain, {lanes}-lane)", ee.name),
-                    });
-                }
+            let outputs = reassemble()?;
+            if ee.ee.is_some() && reassemble()? != outputs {
+                return Err(FlowError::Mismatch {
+                    context: format!("{} (EE vs plain, {lanes}-lane)", ee.name),
+                });
             }
             return Ok(Simulated {
                 name: ee.name.clone(),
@@ -970,10 +974,11 @@ impl Pipeline {
     }
 
     /// Runs one variant's vector stream through the streamed protocol:
-    /// checkpointed by the crash-resumable sweep (under
-    /// `checkpoint_dir/<variant>`) when a checkpoint directory is
-    /// configured, a plain `run_stream` otherwise. Both give the same
-    /// outcome; only the resumable path yields a recovery trail.
+    /// checkpointed by the crash-resumable sweep on the event engine
+    /// (under `checkpoint_dir/<variant>`) when a checkpoint directory is
+    /// configured, the static schedule's `run_stream` otherwise. Both
+    /// give the same outcome; only the resumable path yields a recovery
+    /// trail.
     fn sweep_stream(
         &self,
         pl: &PlNetlist,
@@ -1000,10 +1005,44 @@ impl Pipeline {
                 Ok((out.outcome, Some(out.recovery)))
             }
             None => {
-                let s = PlSimulator::new(pl, self.opts.delays.clone())?.run_stream(inputs)?;
+                let s = LatencySchedule::<bool>::new(pl, self.opts.delays.clone())?
+                    .run_stream(inputs)?;
                 Ok((s, None))
             }
         }
+    }
+
+    /// One lane-protocol work item: lanes `block * lanes ..` of the
+    /// 64-way striping of `inputs`, run from the initial marking. With
+    /// `lanes == 1` that is the one substream of vectors `i ≡ block (mod
+    /// 64)`; with `lanes == 64` the whole stream packed into `u64` lane
+    /// words (vector `i` → lane `i % 64` of word `i / 64`, a ragged last
+    /// word padded with all-false lanes). Returns the output words of the
+    /// block's vectors in vector order.
+    fn run_lane_block(
+        &self,
+        pl: &PlNetlist,
+        inputs: &[Vec<bool>],
+        lanes: usize,
+        block: usize,
+    ) -> Result<Vec<Vec<bool>>, FlowError> {
+        let delays = self.opts.delays.clone();
+        if lanes == 1 {
+            let sub: Vec<Vec<bool>> = inputs.iter().skip(block).step_by(64).cloned().collect();
+            let out = LatencySchedule::<bool>::new(pl, delays)?.run_stream(&sub)?;
+            return Ok(out.outputs);
+        }
+        let n_in = pl.input_gates().len();
+        let packed: Vec<Vec<u64>> = inputs.chunks(64).map(|r| lane_word(r, n_in)).collect();
+        let out = LatencySchedule::<u64>::new(pl, delays)?.run_stream(&packed)?;
+        Ok((0..inputs.len())
+            .map(|i| {
+                out.outputs[i / 64]
+                    .iter()
+                    .map(|w| w >> (i % 64) & 1 == 1)
+                    .collect()
+            })
+            .collect())
     }
 
     /// **Stage 7 — verify**: replays the simulate stage's exact input
@@ -1011,26 +1050,56 @@ impl Pipeline {
     /// cycle-accurate synchronous reference and checks every output word
     /// against the phased-logic run.
     ///
+    /// One [`pl_netlist::eval::Evaluator`] runs 64 independent reference
+    /// machines word-parallel ([`pl_netlist::eval::Evaluator::step_lanes`]):
+    /// vector `i` is lane `i % n_refs` of word step `i / n_refs`. Under the
+    /// lane protocol `n_refs` is 64, matching the simulate stage's 64-way
+    /// striping (each lane an independent run from the initial state);
+    /// otherwise it is 1 and lane 0 replays the whole stream.
+    ///
     /// # Errors
     ///
-    /// [`FlowError::Mismatch`] naming the first diverging vector.
+    /// [`FlowError::Mismatch`] naming the first diverging vector, or when
+    /// `sim` holds a different number of output words than input vectors.
     pub fn verify(&self, mapped: &Netlist, sim: &Simulated) -> Result<VerifyReport, FlowError> {
         let t0 = Instant::now();
-        // Under the lane protocol the stream was striped 64 ways, each
-        // substream an independent run from the initial state, so the
-        // reference must be striped identically: vector i replays on
-        // reference simulator i % 64.
-        let n_refs = if sim.report.lanes.is_some() { 64 } else { 1 };
-        let mut syncs = Vec::with_capacity(n_refs);
-        for _ in 0..n_refs {
-            syncs.push(pl_sim::SyncSimulator::new(mapped).map_err(FlowError::Netlist)?);
+        if sim.inputs.len() != sim.outputs.len() {
+            return Err(FlowError::Mismatch {
+                context: format!(
+                    "{}: {} output words for {} input vectors",
+                    sim.name,
+                    sim.outputs.len(),
+                    sim.inputs.len()
+                ),
+            });
         }
-        for (i, (v, pl_out)) in sim.inputs.iter().zip(&sim.outputs).enumerate() {
-            let sync_out = syncs[i % n_refs].step(v).map_err(FlowError::Netlist)?;
-            if &sync_out != pl_out {
-                return Err(FlowError::Mismatch {
-                    context: format!("{} vector {i} (sync vs PL)", sim.name),
-                });
+        let n_refs = if sim.report.lanes.is_some() { 64 } else { 1 };
+        let mut reference = pl_netlist::eval::Evaluator::new(mapped).map_err(FlowError::Netlist)?;
+        let n_in = mapped.inputs().len();
+        let rounds = sim.inputs.chunks(n_refs).zip(sim.outputs.chunks(n_refs));
+        for (r, (ins, outs)) in rounds.enumerate() {
+            if let Some(v) = ins.iter().find(|v| v.len() != n_in) {
+                return Err(FlowError::Netlist(
+                    pl_netlist::NetlistError::InputArityMismatch {
+                        got: v.len(),
+                        expected: n_in,
+                    },
+                ));
+            }
+            let sync_out = reference
+                .step_lanes(&lane_word(ins, n_in))
+                .map_err(FlowError::Netlist)?;
+            for (l, pl_out) in outs.iter().enumerate() {
+                let same = pl_out.len() == sync_out.len()
+                    && pl_out
+                        .iter()
+                        .zip(&sync_out)
+                        .all(|(&b, &w)| w >> l & 1 == u64::from(b));
+                if !same {
+                    return Err(FlowError::Mismatch {
+                        context: format!("{} vector {} (sync vs PL)", sim.name, r * n_refs + l),
+                    });
+                }
             }
         }
         Ok(VerifyReport {
@@ -1095,4 +1164,16 @@ impl Pipeline {
             stream_ee: sim.stream_ee,
         })
     }
+}
+
+/// Packs up to 64 `n_in`-input vectors into one lane word per input:
+/// vector `l` becomes lane `l`, missing lanes are false.
+fn lane_word(vectors: &[Vec<bool>], n_in: usize) -> Vec<u64> {
+    let mut word = vec![0u64; n_in];
+    for (l, v) in vectors.iter().enumerate() {
+        for (w, &bit) in word.iter_mut().zip(v) {
+            *w |= u64::from(bit) << l;
+        }
+    }
+    word
 }

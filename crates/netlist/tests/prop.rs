@@ -169,6 +169,28 @@ proptest! {
         prop_assert!(assigns >= decls, "wires without drivers:\n{v}");
     }
 
+    /// The 64-lane word step: every lane equals a scalar evaluator that
+    /// steps that lane's own substream, cycle for cycle.
+    #[test]
+    fn step_lanes_matches_scalar_per_lane(recipe in arb_recipe(), seed in any::<u64>()) {
+        use rand::{Rng, SeedableRng};
+        let n = build(&recipe);
+        prop_assume!(n.validate().is_ok());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut wide = Evaluator::new(&n).expect("validates");
+        let mut scalar: Vec<Evaluator> =
+            (0..64).map(|_| Evaluator::new(&n).expect("validates")).collect();
+        for cycle in 0..12 {
+            let words: Vec<u64> = (0..n.inputs().len()).map(|_| rng.gen()).collect();
+            let out = wide.step_lanes(&words).expect("in range");
+            for (l, sim) in scalar.iter_mut().enumerate() {
+                let ins: Vec<bool> = words.iter().map(|w| w >> l & 1 == 1).collect();
+                let lane: Vec<bool> = out.iter().map(|w| w >> l & 1 == 1).collect();
+                prop_assert_eq!(lane, sim.step(&ins).expect("in range"), "cycle {} lane {}", cycle, l);
+            }
+        }
+    }
+
     /// Dead-node elimination keeps exactly the output cones.
     #[test]
     fn dce_result_is_closed(recipe in arb_recipe()) {

@@ -72,12 +72,15 @@
 //! reference engine; `tests/engine_equivalence.rs` enforces this
 //! differentially on the ITC'99 suite and on randomized netlists.
 //!
-//! This engine runs the streamed (and, with checkpoints, resumable),
-//! batch and traced protocols. The per-vector latency protocol
-//! ([`crate::measure_latency_on`], [`crate::verify_equivalence`]) runs on
+//! This engine runs the resumable (checkpointed) streamed protocol, whose
+//! checkpoints store its event queue, and the traced protocol. The
+//! per-vector latency protocol ([`crate::measure_latency_on`],
+//! [`crate::verify_equivalence`]), streamed runs without a checkpoint and
+//! the batch sweep ([`crate::sweep_streams_batch`]) run on
 //! [`crate::LatencySchedule`] instead, which evaluates the same firing
 //! rules as a static max-plus / min-max recurrence and is pinned to
-//! [`PlSimulator::run_vector`] tick for tick; this engine stays its
+//! [`PlSimulator::run_vector`], [`PlSimulator::run_stream`] and
+//! [`BatchSimulator::run_lanes`] tick for tick; this engine stays its
 //! differential oracle.
 
 use std::collections::VecDeque;
@@ -864,48 +867,74 @@ impl<'a> BatchSimulator<'a> {
             "a batch runs 1..=64 streams, got {}",
             streams.len()
         );
-        let n_in = self.pl.input_gates().len();
-        let rounds = streams.iter().map(|s| s.len()).max().unwrap_or(0);
-        let mut packed = Vec::with_capacity(rounds);
-        for r in 0..rounds {
-            let mut word = vec![0u64; n_in];
-            for (l, s) in streams.iter().enumerate() {
-                if r >= s.len() {
-                    continue; // exhausted lane: all-false padding
-                }
-                if s[r].len() != n_in {
-                    return Err(SimError::InputArityMismatch {
-                        got: s[r].len(),
-                        expected: n_in,
-                    });
-                }
-                for (p, &bit) in s[r].iter().enumerate() {
-                    word[p] |= u64::from(bit) << l;
-                }
-            }
-            packed.push(word);
-        }
+        let packed = pack_streams(streams, self.pl.input_gates().len())?;
         let wide = self.run_stream(&packed)?;
-        Ok(streams
-            .iter()
-            .enumerate()
-            .map(|(l, s)| {
-                let outputs = wide.outputs[..s.len()]
-                    .iter()
-                    .map(|word| word.iter().map(|&w| w.lane(l)).collect())
-                    .collect();
-                StreamOutcome {
-                    outputs,
-                    makespan: wide.makespan,
-                    throughput: if wide.makespan > 0.0 {
-                        s.len() as f64 / wide.makespan
-                    } else {
-                        f64::INFINITY
-                    },
-                }
-            })
-            .collect())
+        Ok(unpack_streams(&wide, streams))
     }
+}
+
+/// Packs up to 64 vector streams into lane words: stream `l` becomes lane
+/// `l`, round `r` carries round `r` of every stream, and exhausted lanes
+/// are padded with all-false vectors (which never perturb other lanes'
+/// values).
+///
+/// # Errors
+///
+/// [`SimError::InputArityMismatch`] if any vector has the wrong arity.
+pub(crate) fn pack_streams(
+    streams: &[&[Vec<bool>]],
+    n_in: usize,
+) -> Result<Vec<Vec<u64>>, SimError> {
+    let rounds = streams.iter().map(|s| s.len()).max().unwrap_or(0);
+    let mut packed = Vec::with_capacity(rounds);
+    for r in 0..rounds {
+        let mut word = vec![0u64; n_in];
+        for (l, s) in streams.iter().enumerate() {
+            if r >= s.len() {
+                continue; // exhausted lane: all-false padding
+            }
+            if s[r].len() != n_in {
+                return Err(SimError::InputArityMismatch {
+                    got: s[r].len(),
+                    expected: n_in,
+                });
+            }
+            for (p, &bit) in s[r].iter().enumerate() {
+                word[p] |= u64::from(bit) << l;
+            }
+        }
+        packed.push(word);
+    }
+    Ok(packed)
+}
+
+/// Splits a lane-word stream outcome back into the per-stream outcomes of
+/// the streams [`pack_streams`] packed: each stream's words truncated to
+/// its own length, the block makespan shared, and throughput the stream's
+/// length over that makespan.
+pub(crate) fn unpack_streams(
+    wide: &StreamOutcome<u64>,
+    streams: &[&[Vec<bool>]],
+) -> Vec<StreamOutcome> {
+    streams
+        .iter()
+        .enumerate()
+        .map(|(l, s)| {
+            let outputs = wide.outputs[..s.len()]
+                .iter()
+                .map(|word| word.iter().map(|&w| w.lane(l)).collect())
+                .collect();
+            StreamOutcome {
+                outputs,
+                makespan: wide.makespan,
+                throughput: if wide.makespan > 0.0 {
+                    s.len() as f64 / wide.makespan
+                } else {
+                    f64::INFINITY
+                },
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

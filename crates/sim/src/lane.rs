@@ -1,7 +1,9 @@
-//! Lane words: the value payload the engine is generic over.
+//! Lane words: the value payload the engines are generic over.
 //!
-//! The simulator marches `L::LANES` independent Boolean input vectors in
-//! lockstep through ONE event flow. What makes this sound is the Kahn
+//! The event engine ([`crate::LaneSimulator`]) and the static schedule
+//! ([`crate::LatencySchedule`]) both march `L::LANES` independent Boolean
+//! input vectors in lockstep through ONE timing: one event flow, or one
+//! levelized pass per round. What makes this sound is the Kahn
 //! determinism of the marked graph: which round's token an arc carries is
 //! decided by the token game alone (timing, readiness, acknowledges — all
 //! value-independent bookkeeping shared by every lane), while the *value*
@@ -133,12 +135,8 @@ impl LaneWord for bool {
 
     #[inline]
     fn pv_set(pv: &mut u8, pin: u8, value: bool) {
-        let bit = 1u8 << pin;
-        if value {
-            *pv |= bit;
-        } else {
-            *pv &= !bit;
-        }
+        // Branch-free: pin values are data, a branch on them mispredicts.
+        *pv = *pv & !(1 << pin) | u8::from(value) << pin;
     }
 
     #[inline]
@@ -336,10 +334,11 @@ const VAR0_MASK: [u64; 6] = [
 /// Evaluates a packed truth table for 64 lanes at once: Shannon-expands
 /// `eval_bits` over the pins in `pins` (lowest first), with `word_of(p)`
 /// supplying pin `p`'s 64-lane input word. Each expansion step is one
-/// 3-op mux over lane words, so a k-pin table costs `2^k - 1` muxes for
-/// all 64 lanes together.
+/// 3-op mux over lane words, so a k-pin table costs at most `2^k - 1`
+/// muxes for all 64 lanes together; an all-zero cofactor, or a pin the
+/// cofactor does not depend on, costs none.
 fn eval_lanes<F: Fn(u8) -> u64>(eval_bits: u64, pins: u8, word_of: &F) -> u64 {
-    if pins == 0 {
+    if pins == 0 || eval_bits == 0 {
         return u64::splat(eval_bits & 1 == 1);
     }
     let p = pins.trailing_zeros() as usize;
@@ -357,8 +356,11 @@ fn eval_lanes<F: Fn(u8) -> u64>(eval_bits: u64, pins: u8, word_of: &F) -> u64 {
     let t0 = b0 | (b0 << sh);
     let b1 = eval_bits & !m0;
     let t1 = b1 | (b1 >> sh);
-    let w = word_of(p as u8);
     let hi = eval_lanes(t1, rest, word_of);
+    if t0 == t1 {
+        return hi;
+    }
+    let w = word_of(p as u8);
     let lo = eval_lanes(t0, rest, word_of);
     (w & hi) | (!w & lo)
 }

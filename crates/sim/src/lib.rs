@@ -15,7 +15,10 @@
 //!   its outputs, latencies and typed errors match consecutive
 //!   [`PlSimulator::run_vector`] calls tick for tick, and where the event
 //!   engine's outcome would hinge on a same-tick ordering it reports the
-//!   error (see [`schedule`] for the recurrence and the tie rules).
+//!   error (see [`schedule`] for the recurrence and the tie rules). Its
+//!   [`LatencySchedule::run_stream`] runs the streamed protocol the same
+//!   way, at one lane or 64, and matches [`PlSimulator::run_stream`] and
+//!   [`BatchSimulator::run_lanes`] in words, makespan and throughput.
 //! * [`PlSimulator`] plays the marked-graph token game event-by-event under
 //!   a configurable [`DelayModel`] (Muller C-element, LUT4, latches, wires,
 //!   and the EE overhead C-element). Early-evaluation masters follow the
@@ -37,17 +40,19 @@
 //!   deliveries dispatch as a single batched queue event. See
 //!   [`reference`] for the retained pre-refactor engine that pins these
 //!   semantics differentially (`tests/engine_equivalence.rs`) and anchors
-//!   the speedup numbers in `BENCH_sim.json`. The event engine is the one
-//!   engine for streamed, checkpointed, batch and traced (VCD) runs, and
-//!   with [`crate::reference`] the differential oracle for
-//!   [`LatencySchedule`].
-//! * The streamed protocol is one sequential [`PlSimulator::run_stream`]
-//!   per stream: vectors are fed without waiting for output words, which
-//!   measures sustained throughput. [`sweep_resumable`] is that same run
-//!   made crash-resumable: it feeds the stream one window at a time,
-//!   journals every completed window, and writes a checkpoint
-//!   ([`checkpoint::wire`]) at each window boundary, so a killed run
-//!   resumes from the newest one — bit-identical to `run_stream`.
+//!   the speedup numbers in `BENCH_sim.json`. The event engine runs the
+//!   checkpointed (resumable) and traced (VCD) runs, whose state is its
+//!   event queue, and with [`crate::reference`] it is the differential
+//!   oracle for [`LatencySchedule`].
+//! * The streamed protocol is one sequential run per stream: vectors are
+//!   fed without waiting for output words, which measures sustained
+//!   throughput. Without a checkpoint it runs on
+//!   [`LatencySchedule::run_stream`]. [`sweep_resumable`] is the event
+//!   engine's [`PlSimulator::run_stream`] made crash-resumable: it feeds
+//!   the stream one window at a time, journals every completed window,
+//!   and writes a checkpoint ([`checkpoint::wire`]) at each window
+//!   boundary, so a killed run resumes from the newest one —
+//!   bit-identical to `run_stream`.
 //! * [`parallel`] scatter/gathers independent work across worker threads
 //!   — independent streams ([`sweep_streams`]), reset-per-shard single
 //!   streams ([`sweep_sharded`]), or any item list
@@ -80,7 +85,8 @@
 //! in lockstep, and unpacks per-lane outcomes that are bit-identical,
 //! vector for vector, to 64 sequential scalar runs. The batch sweep
 //! ([`sweep_streams_batch`]) scatters whole 64-stream blocks across
-//! workers.
+//! workers, each block one `u64` [`LatencySchedule::run_stream`] equal to
+//! `run_lanes`, which stays its oracle.
 //!
 //! # Example
 //!

@@ -8,20 +8,22 @@
 //! channel — no external dependencies — and exposes these sweep shapes on
 //! top of it:
 //!
-//! * [`sweep_streams`] — N independent vector streams, each simulated by a
-//!   **private** [`PlSimulator`] over a shared `&`[`PlNetlist`] from the
-//!   initial marking. Results come back in stream order.
+//! * [`sweep_streams`] — N independent vector streams, each run from the
+//!   initial marking on a **private** [`LatencySchedule`] over a shared
+//!   `&`[`PlNetlist`] (the streamed protocol's static schedule, pinned to
+//!   [`PlSimulator::run_stream`] bit for bit). Results come back in
+//!   stream order.
 //! * [`sweep_sharded`] — ONE long vector stream split into fixed-size
 //!   shards. Shard boundaries depend only on the stream length and
 //!   `shard_len` — never on the worker count — so the merged
 //!   [`StreamOutcome`] is **bit-identical for every `jobs` value**,
 //!   including the `jobs = 1` sequential run. With `shard_len >=
-//!   vectors.len()` there is exactly one shard and the result equals a
-//!   plain [`PlSimulator::run_stream`] call. Each shard restarts from the
+//!   vectors.len()` there is exactly one shard and the result equals one
+//!   [`LatencySchedule::run_stream`] (and so [`PlSimulator::run_stream`]). Each shard restarts from the
 //!   initial marking, so for stateful designs a shard boundary is a reset
 //!   (independent experiments, not one long run).
 //! * [`sweep_resumable`] ([`resume`]) — ONE long vector stream as one
-//!   continuous run, made crash-resumable: the sequential
+//!   continuous run, made crash-resumable: the event engine's sequential
 //!   [`PlSimulator::run_stream`] fed one window at a time, with a
 //!   checkpoint at every window boundary and a journal of completed
 //!   windows on disk (atomic write-tmp-then-rename). A killed run resumes
@@ -33,10 +35,12 @@
 //!
 //! The independent-stream shape also comes in a **batch** variant
 //! ([`sweep_streams_batch`]) that scatters whole 64-stream blocks, each
-//! block marched through a single [`BatchSimulator`] event flow with
-//! `u64` lane words — the unit of parallel work becomes 64 vectors
-//! instead of one, multiplying the throughput of both levels (threads ×
-//! lanes) while staying bit-identical to the scalar sweep.
+//! block packed into `u64` lane words and run through one 64-lane
+//! [`LatencySchedule`] (pinned to the event engine's
+//! [`BatchSimulator::run_lanes`](crate::BatchSimulator::run_lanes)) —
+//! the unit of parallel work becomes 64 vectors instead of one,
+//! multiplying the throughput of both levels (threads × lanes) while
+//! staying bit-identical to the scalar sweep.
 //!
 //! Determinism is structural, not incidental: workers only *pull* work
 //! (item indices from an atomic counter); every result is sent back
@@ -53,8 +57,11 @@ use std::sync::mpsc;
 use pl_core::PlNetlist;
 
 use crate::delay::DelayModel;
-use crate::engine::{BatchSimulator, PlSimulator, StreamOutcome};
+#[cfg(any(doc, test))]
+use crate::engine::PlSimulator;
+use crate::engine::{pack_streams, unpack_streams, StreamOutcome};
 use crate::error::SimError;
+use crate::schedule::LatencySchedule;
 
 pub mod resume;
 
@@ -140,11 +147,12 @@ where
     })
 }
 
-/// Simulates each independent vector stream on a private simulator (fresh
-/// initial marking) over the shared netlist, using up to `jobs` workers
-/// (`0` = auto). Outcomes are returned in stream order and are
-/// bit-identical to running the same streams sequentially through
-/// [`PlSimulator::run_stream`], for any worker count.
+/// Simulates each independent vector stream on a private
+/// [`LatencySchedule`] (fresh initial marking) over the shared netlist,
+/// using up to `jobs` workers (`0` = auto). Outcomes are returned in
+/// stream order and are bit-identical to running the same streams
+/// sequentially through [`PlSimulator::run_stream`], for any worker
+/// count.
 ///
 /// # Errors
 ///
@@ -160,7 +168,7 @@ where
     S: AsRef<[Vec<bool>]> + Sync,
 {
     scatter_gather(jobs, streams, |_, stream| {
-        PlSimulator::new(pl, delays.clone())?.run_stream(stream.as_ref())
+        LatencySchedule::<bool>::new(pl, delays.clone())?.run_stream(stream.as_ref())
     })
     .into_iter()
     .collect()
@@ -211,13 +219,15 @@ pub fn sweep_sharded(
     Ok(merged)
 }
 
-/// [`sweep_streams`] over the 64-lane batch engine: streams are packed
-/// into blocks of up to 64, each block marched through one
-/// [`BatchSimulator`] event flow ([`BatchSimulator::run_lanes`]), and the
-/// blocks scattered across up to `jobs` workers. Per-stream outcomes come
-/// back in stream order and are bit-identical, vector for vector, to
+/// [`sweep_streams`] 64 lanes wide: streams are packed into blocks of up
+/// to 64 (exhausted lanes padded with all-false vectors), each block run
+/// as one `u64` [`LatencySchedule::run_stream`], and the blocks scattered
+/// across up to `jobs` workers. Per-stream outcomes come back in stream
+/// order and equal [`BatchSimulator::run_lanes`](crate::BatchSimulator::run_lanes)
+/// over each block — outputs bit-identical, vector for vector, to
 /// [`sweep_streams`] over the same streams (the lane dimension never
-/// changes values — see [`crate::lane`]).
+/// changes values — see [`crate::lane`]), timing that of the shared
+/// block schedule.
 ///
 /// # Errors
 ///
@@ -234,7 +244,9 @@ where
     let blocks: Vec<&[S]> = streams.chunks(64).collect();
     let per_block = scatter_gather(jobs, &blocks, |_, block| {
         let lanes: Vec<&[Vec<bool>]> = block.iter().map(AsRef::as_ref).collect();
-        BatchSimulator::new(pl, delays.clone())?.run_lanes(&lanes)
+        let mut schedule = LatencySchedule::<u64>::new(pl, delays.clone())?;
+        let wide = schedule.run_stream(&pack_streams(&lanes, pl.input_gates().len())?)?;
+        Ok::<_, SimError>(unpack_streams(&wide, &lanes))
     });
     let mut outcomes = Vec::with_capacity(streams.len());
     for block in per_block {
@@ -511,6 +523,59 @@ mod tests {
         let batch = sweep_streams_batch(&pl, &delays, &one, 4).unwrap();
         let scalar = sweep_streams(&pl, &delays, &one, 1).unwrap();
         assert_eq!(batch[0].outputs, scalar[0].outputs);
+    }
+
+    /// A toggle register: `q` flips whenever `t` is set, so every lane's
+    /// outputs depend on its whole history.
+    fn toggle_netlist() -> PlNetlist {
+        let mut n = Netlist::new("toggle");
+        let t = n.add_input("t");
+        let x = n.add_input("x");
+        let q = n.add_dff(false);
+        let d = n.add_xor2(q, t).unwrap();
+        n.set_dff_input(q, d).unwrap();
+        let y = n.add_and2(q, x).unwrap();
+        n.set_output("q", q);
+        n.set_output("y", y);
+        PlNetlist::from_sync(&n).unwrap()
+    }
+
+    /// The batch sweep equals `BatchSimulator::run_lanes` over each block
+    /// — outputs, makespan and throughput bits — with ragged substreams,
+    /// empty substreams, and a block of only empty ones.
+    #[test]
+    fn batch_sweep_matches_run_lanes_on_ragged_and_empty_streams() {
+        let delays = DelayModel::default();
+        for pl in [xor_netlist(), toggle_netlist()] {
+            let ragged: Vec<Vec<Vec<bool>>> =
+                (0..70).map(|k| vectors(k % 7, 0x4A66 + k as u64)).collect();
+            let empty: Vec<Vec<Vec<bool>>> = vec![Vec::new(); 3];
+            for streams in [&ragged, &empty] {
+                let want: Vec<StreamOutcome> = streams
+                    .chunks(64)
+                    .flat_map(|block| {
+                        let lanes: Vec<&[Vec<bool>]> = block.iter().map(Vec::as_slice).collect();
+                        crate::BatchSimulator::new(&pl, delays.clone())
+                            .unwrap()
+                            .run_lanes(&lanes)
+                            .unwrap()
+                    })
+                    .collect();
+                let got = sweep_streams_batch(&pl, &delays, streams, 2).unwrap();
+                let bits = |o: &[StreamOutcome]| -> Vec<(Vec<Vec<bool>>, u64, u64)> {
+                    o.iter()
+                        .map(|o| {
+                            (
+                                o.outputs.clone(),
+                                o.makespan.to_bits(),
+                                o.throughput.to_bits(),
+                            )
+                        })
+                        .collect()
+                };
+                assert_eq!(bits(&got), bits(&want));
+            }
+        }
     }
 
     #[test]

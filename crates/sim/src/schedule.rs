@@ -1,4 +1,4 @@
-//! Static min-max schedule for the per-vector latency protocol.
+//! Static min-max schedule for the per-vector and streamed protocols.
 //!
 //! [`measure_latency_on`](crate::measure_latency_on) applies one vector,
 //! waits for the whole output word, then applies the next — the paper's
@@ -11,7 +11,9 @@
 //! Olsder & Quadrat, *Synchronization and Linearity*, 1992; Gunawardena,
 //! "Min-max functions", 1994). [`LatencySchedule`] evaluates it with one
 //! levelized pass per vector over a topological order fixed at
-//! construction, with no event queue.
+//! construction, with no event queue. The streamed protocol runs the same
+//! pass; only the round boundary differs (see
+//! [below](self#the-streamed-protocol)).
 //!
 //! # Firing nodes and the recurrence
 //!
@@ -37,12 +39,32 @@
 //! Latencies and output words equal the event engine's tick for tick
 //! (`tests/engine_equivalence.rs` pins this bit-exactly).
 //!
+//! # The streamed protocol
+//!
+//! [`LatencySchedule::run_stream`] follows
+//! [`LaneSimulator::run_stream`](crate::LaneSimulator::run_stream): each
+//! `feed_vector` drains only the previous vector's pending inputs, so the
+//! next round starts at `start_{k+1} = max(start_k, input ticks of round
+//! k)` instead of after the output word. The makespan is the latest
+//! output tick minus the first start (0).
+//!
+//! # Lanes
+//!
+//! The schedule is generic over the [`LaneWord`] its token values carry.
+//! Timing is shared by every lane and only values are per lane, as in
+//! the event engine ([`crate::lane`]): a gate evaluates
+//! [`LaneWord::eval`], the early-path forced check is
+//! [`LaneWord::forced`], and an EE master takes the early path only when
+//! its efire word is [`LaneWord::all`] — true in every lane. So a `u64`
+//! run equals [`BatchSimulator::run_stream`](crate::BatchSimulator) word
+//! for word and in its makespan bits.
+//!
 //! # Errors and same-tick ties
 //!
 //! The event engine breaks same-tick ties by posting order, which a static
-//! pass does not see. Where a tie could decide an error, the schedule
-//! takes the stricter reading, so its typed errors are never looser than
-//! the engine's:
+//! pass reconstructs only in part. Where a tie could decide an error, the
+//! schedule takes the stricter reading, so its typed errors are never
+//! looser than the engine's:
 //!
 //! * **[`SimError::UnsoundTrigger`]** — when the early path wins
 //!   (`E ≤ N`) at tick `P`, the subset pins count as known and any other
@@ -50,7 +72,11 @@
 //!   forced by the known pins.
 //! * **[`SimError::SafetyViolation`]** — a token delivered strictly before
 //!   the arc's previous token was consumed is a violation. On a same-tick
-//!   tie the delivery is safe only if it is causally after the
+//!   tie the event that was posted first is dispatched first: the
+//!   delivery is posted at its producer's firing tick, the consumption at
+//!   the consumer's firing tick less its component delay (on an EE
+//!   master's `N = E` tie, the earlier of the two paths). If the posting
+//!   ticks tie too, the delivery is safe only if it is causally after the
 //!   consumption: a path from the consuming node to the producing node
 //!   whose arcs carry at most `1 − m` initial tokens (`m` = the arc's
 //!   marking). This is `pl_core::marked::check_safety`'s path search, run
@@ -59,17 +85,26 @@
 //!   circuit that enters a master on a data pin and leaves on its output
 //!   proves nothing. A direct reverse arc of complementary marking is the
 //!   common one-step case.
-//! * The engine stops at its first error and after the last vector's
-//!   output word, so the reported error is the earliest one by tick, and
-//!   only if it falls at or before the last completion tick.
-//! * [`SimError::Deadlock`] and structural errors stay typed; a deadlock's
-//!   `at_time` is the last finite firing tick plus the wire delay.
+//! * The engine stops at its first error and at the end of the run, so
+//!   the reported error is the earliest one by tick, and only if it falls
+//!   at or before the run's **horizon**, the last tick the engine reaches.
+//!   Per vector that is the last completion tick. Streamed, it is the
+//!   later of the last word's completion and the drain point of the last
+//!   `feed_vector` (round `n − 2`'s input ticks); a malformed vector `k`
+//!   is rejected as it is fed, so the horizon is then the drain point of
+//!   feed `k − 1`.
+//! * [`SimError::Deadlock`] and structural errors stay typed, a deadlock
+//!   in the engine's two forms: `<pending input never consumed>` when a
+//!   feed cannot drain the previous vector's inputs, else the names of
+//!   the outputs missing from the first incomplete word. A deadlock
+//!   drains every finite event first, so an earlier error wins at any
+//!   tick; its `at_time` is the latest token delivery.
 
 use pl_core::adjacency::{GateClass, NO_ARC};
 use pl_core::{PlAdjacency, PlArcId, PlArcKind, PlError, PlGateId, PlNetlist};
 
 use crate::delay::{ticks_to_ns, DelayModel, TickDelays};
-use crate::engine::VectorOutcome;
+use crate::engine::{StreamOutcome, VectorOutcome};
 use crate::error::SimError;
 use crate::lane::LaneWord;
 
@@ -78,6 +113,9 @@ use crate::lane::LaneWord;
 const NEVER: u64 = u64::MAX;
 /// "No node" in the per-gate and per-arc node maps.
 const NO_NODE: u32 = u32::MAX;
+/// The event engine's `missing_outputs` when a vector's inputs are never
+/// consumed.
+const PENDING_INPUT: &str = "<pending input never consumed>";
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
@@ -115,10 +153,11 @@ struct Step {
     const_bits: u8,
 }
 
-/// The static-schedule evaluator of the per-vector latency protocol (see
-/// the [module docs](self)).
+/// The static-schedule evaluator of the per-vector and streamed protocols
+/// (see the [module docs](self)), generic over the [`LaneWord`] its token
+/// values carry: `bool` for one vector per round, `u64` for 64 lanes.
 #[derive(Debug, Clone)]
-pub struct LatencySchedule<'a> {
+pub struct LatencySchedule<'a, L: LaneWord = bool> {
     pl: &'a PlNetlist,
     adj: PlAdjacency,
     ticks: TickDelays,
@@ -138,7 +177,7 @@ pub struct LatencySchedule<'a> {
     /// First firing node of each gate (`Produce` for masters, whose
     /// `Cleanup` is the next id), `NO_NODE` for gates that never fire.
     node_of: Vec<u32>,
-    state: State,
+    state: State<L>,
     /// Per-arc memo of the same-tick tie check: 0 unknown, 1 safe, 2 not.
     tie_memo: Vec<u8>,
     causal: Option<CausalGraph>,
@@ -146,22 +185,28 @@ pub struct LatencySchedule<'a> {
 
 /// The dynamic state of a run.
 #[derive(Debug, Clone)]
-struct State {
+struct State<L: LaneWord> {
     /// Per-slot (and per-buffer) token arrival tick and value.
     tick: Vec<u64>,
-    value: Vec<bool>,
+    value: Vec<L>,
     /// Per-slot consumption tick of the previous token, plus one (0: none).
     consumed: Vec<u64>,
+    /// Per-slot component delay of the consuming event: the event engine
+    /// posts it at its tick less this. Fixed per slot, except a master's
+    /// acknowledges, which its `Produce` consumes on either path.
+    consumer_delay: Vec<u64>,
     /// Per-gate tick of the last `Fire` (or master `Cleanup`).
     last: Vec<u64>,
     /// Per-master tick of this round's `Produce`.
     produced: Vec<u64>,
+    /// Latest finite token-delivery tick so far — a deadlock's `at_time`.
+    latest: u64,
     /// Deliveries that landed before (`true`) or on the tick of (`false`)
     /// the previous token's consumption, with the slot and tick.
     suspects: Vec<(u32, u64, bool)>,
 }
 
-impl<'a> LatencySchedule<'a> {
+impl<'a, L: LaneWord> LatencySchedule<'a, L> {
     /// Checks the netlist exactly as [`PlSimulator::new`](crate::PlSimulator::new)
     /// does and fixes the firing order.
     ///
@@ -246,6 +291,8 @@ impl<'a> LatencySchedule<'a> {
         let mut arc_of = Vec::with_capacity(n_arcs);
         let mut pin_of = Vec::with_capacity(n_arcs);
         let mut ranges = vec![[0u32; 4]; n_gates];
+        let ticks = delays.to_ticks();
+        let mut consumer_delay = Vec::with_capacity(n_arcs);
         for &(kind, g) in &order {
             if kind == Kind::Cleanup {
                 continue;
@@ -265,6 +312,17 @@ impl<'a> LatencySchedule<'a> {
             let pin_end = lo + pins.clone().count() as u32;
             let ack_lo = pin_end + u32::from(efire.is_some());
             ranges[g] = [lo, pin_end, ack_lo, ack_lo + acks.len() as u32];
+            // Who consumes each slot: an input its acks, an output its
+            // pins (a C-element), a gate everything, a master its pins and
+            // efire at `Cleanup` and its acks at `Produce`.
+            let (pin_delay, ack_delay) = match kind {
+                Kind::Input => (0, 0),
+                Kind::Output => (ticks.c_element, 0),
+                Kind::Gate => (ticks.gate, ticks.gate),
+                _ => (ticks.c_element, ticks.ee_master),
+            };
+            consumer_delay.resize(ack_lo as usize, pin_delay);
+            consumer_delay.resize(ack_lo as usize + acks.len(), ack_delay);
             let pins = pins.map(|(pin, &a)| (a, pin as u8));
             let rest = efire.iter().chain(acks).map(|&a| (a, u8::MAX));
             for (a, pin) in pins.chain(rest) {
@@ -273,6 +331,7 @@ impl<'a> LatencySchedule<'a> {
                 pin_of.push(pin);
             }
         }
+        consumer_delay.resize(n_arcs, 0);
         // Netlists built by `from_sync` and the EE transform have none;
         // their tokens are written but never read.
         for (a, slot) in slot_of.iter_mut().enumerate() {
@@ -340,7 +399,7 @@ impl<'a> LatencySchedule<'a> {
         let n_slots = n_arcs + marked.len();
         let mut schedule = Self {
             pl,
-            ticks: delays.to_ticks(),
+            ticks,
             steps,
             outs,
             arc_of,
@@ -350,10 +409,12 @@ impl<'a> LatencySchedule<'a> {
             node_of,
             state: State {
                 tick: vec![NEVER; n_slots],
-                value: vec![false; n_slots],
+                value: vec![L::splat(false); n_slots],
                 consumed: vec![0; n_arcs],
+                consumer_delay,
                 last: vec![0; n_gates],
                 produced: vec![0; n_gates],
+                latest: 0,
                 suspects: Vec::new(),
             },
             tie_memo: vec![0; n_arcs],
@@ -375,7 +436,7 @@ impl<'a> LatencySchedule<'a> {
     /// [`SimError::Deadlock`], [`SimError::SafetyViolation`] and
     /// [`SimError::UnsoundTrigger`] as the event engine reports them (see
     /// the [module docs](self#errors-and-same-tick-ties)).
-    pub fn run(&mut self, vectors: &[Vec<bool>]) -> Result<Vec<VectorOutcome>, SimError> {
+    pub fn run(&mut self, vectors: &[Vec<L>]) -> Result<Vec<VectorOutcome<L>>, SimError> {
         match self.run_prefix(vectors) {
             (outcomes, None) => Ok(outcomes),
             (_, Some(e)) => Err(e),
@@ -387,10 +448,9 @@ impl<'a> LatencySchedule<'a> {
     /// every round whose completion precedes the error's tick.
     pub(crate) fn run_prefix(
         &mut self,
-        vectors: &[Vec<bool>],
-    ) -> (Vec<VectorOutcome>, Option<SimError>) {
+        vectors: &[Vec<L>],
+    ) -> (Vec<VectorOutcome<L>>, Option<SimError>) {
         self.reset();
-        let n_in = self.pl.input_gates().len();
         let mut first: Option<(u64, SimError)> = None;
         let mut outcomes = Vec::with_capacity(vectors.len());
         let mut completions = Vec::with_capacity(vectors.len());
@@ -400,30 +460,17 @@ impl<'a> LatencySchedule<'a> {
         // stopped where the last completed vector left it (bad arity).
         let mut stop: Option<(SimError, bool)> = None;
         for v in vectors {
-            if v.len() != n_in {
-                let e = SimError::InputArityMismatch {
-                    got: v.len(),
-                    expected: n_in,
-                };
+            if let Err(e) = self.check_arity(v) {
                 stop = Some((e, false));
                 break;
             }
             if start == NEVER {
-                let e = self.deadlock(vec!["<pending input never consumed>".into()]);
-                stop = Some((e, true));
+                stop = Some((self.deadlock(vec![PENDING_INPUT.into()]), true));
                 break;
             }
-            let (outputs, completed, next_start) = self.round(v, start, &mut first);
+            let (outputs, completed, inputs_done) = self.round(v, start, &mut first);
             if completed == NEVER {
-                let missing = self
-                    .pl
-                    .output_gates()
-                    .iter()
-                    .zip(&outputs)
-                    .filter(|(_, &(t, _))| t == NEVER)
-                    .map(|((name, _), _)| name.clone())
-                    .collect();
-                stop = Some((self.deadlock(missing), true));
+                stop = Some((self.deadlock(self.missing(&outputs)), true));
                 break;
             }
             outcomes.push(VectorOutcome {
@@ -432,7 +479,9 @@ impl<'a> LatencySchedule<'a> {
                 completed_at: ticks_to_ns(completed),
             });
             completions.push(completed);
-            start = next_start;
+            // `run_vector` drains the pending inputs, then waits for the
+            // whole word.
+            start = completed.max(inputs_done);
         }
         if let Some((t, e)) = first {
             let drained = matches!(stop, Some((_, true)));
@@ -445,44 +494,150 @@ impl<'a> LatencySchedule<'a> {
         (outcomes, stop.map(|(e, _)| e))
     }
 
+    /// Streams `vectors` from the initial marking exactly as
+    /// [`LaneSimulator::run_stream`](crate::LaneSimulator::run_stream) on a
+    /// fresh simulator does: each vector is injected as soon as the
+    /// previous one's inputs are consumed, without waiting for output
+    /// words. Returns the same output words and the same makespan and
+    /// throughput bits (see the [module docs](self#the-streamed-protocol)).
+    ///
+    /// # Errors
+    ///
+    /// The conditions of [`LatencySchedule::run`], as
+    /// [`LaneSimulator::run_stream`](crate::LaneSimulator::run_stream)
+    /// reports them: the first error by tick at or before the run's
+    /// horizon, and a deadlock in either of the engine's two forms.
+    pub fn run_stream(&mut self, vectors: &[Vec<L>]) -> Result<StreamOutcome<L>, SimError> {
+        self.reset();
+        let has_inputs = !self.pl.input_gates().is_empty();
+        let mut first: Option<(u64, SimError)> = None;
+        let mut outputs = Vec::with_capacity(vectors.len());
+        let mut start = 0u64;
+        // How far the event engine has run: the drain point of the latest
+        // `feed_vector`, and after the last feed the last word's completion.
+        let (mut drained_to, mut completed_last) = (None, None);
+        let mut last = 0u64;
+        // The first word that never completes, by its missing outputs.
+        let mut missing: Option<Vec<String>> = None;
+        // As in `run_prefix`: the stopping error, and whether every finite
+        // event was drained before it.
+        let mut stop: Option<(SimError, bool)> = None;
+        for (k, v) in vectors.iter().enumerate() {
+            if let Err(e) = self.check_arity(v) {
+                stop = Some((e, false));
+                break;
+            }
+            if k > 0 {
+                // Feeding vector k drains round k − 1's inputs.
+                if start == NEVER {
+                    stop = Some((self.deadlock(vec![PENDING_INPUT.into()]), true));
+                    break;
+                }
+                if has_inputs {
+                    drained_to = Some(start);
+                }
+            }
+            let (word, completed, inputs_done) = self.round(v, start, &mut first);
+            if completed == NEVER {
+                missing.get_or_insert_with(|| self.missing(&word));
+            }
+            completed_last = Some(completed);
+            last = word.iter().fold(last, |m, &(t, _)| m.max(t));
+            outputs.push(word.into_iter().map(|(_, v)| v).collect());
+            start = inputs_done;
+        }
+        // The last completion is at or after every drain point.
+        let horizon = if stop.is_some() {
+            drained_to
+        } else {
+            completed_last
+        };
+        if stop.is_none() {
+            stop = missing.map(|m| (self.deadlock(m), true));
+        }
+        if let Some((t, e)) = first {
+            let drained = matches!(stop, Some((_, true)));
+            if drained || horizon.is_some_and(|h| t <= h) {
+                return Err(e);
+            }
+        }
+        if let Some((e, _)) = stop {
+            return Err(e);
+        }
+        let makespan = ticks_to_ns(last);
+        Ok(StreamOutcome {
+            outputs,
+            makespan,
+            throughput: if makespan > 0.0 {
+                vectors.len() as f64 / makespan
+            } else {
+                f64::INFINITY
+            },
+        })
+    }
+
+    fn check_arity(&self, v: &[L]) -> Result<(), SimError> {
+        let expected = self.pl.input_gates().len();
+        if v.len() == expected {
+            Ok(())
+        } else {
+            Err(SimError::InputArityMismatch {
+                got: v.len(),
+                expected,
+            })
+        }
+    }
+
+    /// The names of the outputs that never fire in a round.
+    fn missing(&self, word: &[(u64, L)]) -> Vec<String> {
+        self.pl
+            .output_gates()
+            .iter()
+            .zip(word)
+            .filter(|(_, &(t, _))| t == NEVER)
+            .map(|((name, _), _)| name.clone())
+            .collect()
+    }
+
     /// Back to the initial marking.
     fn reset(&mut self) {
         let st = &mut self.state;
         st.tick.fill(NEVER);
-        st.value.fill(false);
+        st.value.fill(L::splat(false));
         for &(slot, _) in &self.marked {
             let arc = &self.pl.arcs()[self.arc_of[slot as usize] as usize];
             st.tick[slot as usize] = 0;
-            st.value[slot as usize] = arc.init_value();
+            st.value[slot as usize] = L::splat(arc.init_value());
         }
         st.consumed.fill(0);
         st.last.fill(0);
         st.produced.fill(0);
+        st.latest = 0;
     }
 
     /// One levelized pass: the round with `inputs` applied at `start`.
     /// Returns each output's `(tick, value)`, the completion tick and the
-    /// next round's start tick.
+    /// tick by which every input has fired (at least `start`).
     fn round(
         &mut self,
-        inputs: &[bool],
+        inputs: &[L],
         start: u64,
         first: &mut Option<(u64, SimError)>,
-    ) -> (Vec<(u64, bool)>, u64, u64) {
+    ) -> (Vec<(u64, L)>, u64, u64) {
         let t = self.ticks;
         let n_slots = self.arc_of.len();
         let (pin_of, outs) = (&self.pin_of, &self.outs);
         let st = &mut self.state;
-        let mut outputs = vec![(NEVER, false); self.pl.output_gates().len()];
+        let mut outputs = vec![(NEVER, L::splat(false)); self.pl.output_gates().len()];
         for &(slot, v) in &self.const_outputs {
-            outputs[slot] = (start, v);
+            outputs[slot] = (start, L::splat(v));
         }
         let mut inputs_done = start;
         for step in &self.steps {
             let g = step.gate as usize;
             let (lo, pin_end) = (step.lo as usize, step.pin_end as usize);
             let (ack_lo, end) = (step.ack_lo as usize, step.end as usize);
-            let acks = st.tick[ack_lo..end].iter().fold(0, |r, &x| r.max(x));
+            let acks = st.ready(ack_lo..end);
             let (fire, v) = match step.kind {
                 Kind::Input => {
                     let fire = acks.max(start).max(st.last[g]);
@@ -492,8 +647,8 @@ impl<'a> LatencySchedule<'a> {
                     (fire, inputs[step.port as usize])
                 }
                 Kind::Output => {
-                    let (ready, _) = st.pins(lo..pin_end, pin_of);
-                    let fire = ready.max(st.last[g]).saturating_add(t.c_element);
+                    let fire = st.ready(lo..pin_end).max(st.last[g]);
+                    let fire = fire.saturating_add(t.c_element);
                     consume(&mut st.consumed[lo..pin_end], fire);
                     st.last[g] = fire;
                     // A token-driven output has one data pin, pin 0.
@@ -506,14 +661,15 @@ impl<'a> LatencySchedule<'a> {
                     let fire = ready.max(acks).max(st.last[g]).saturating_add(t.gate);
                     consume(&mut st.consumed[lo..end], fire);
                     st.last[g] = fire;
-                    (fire, step.eval(pv))
+                    (fire, step.eval::<L>(&pv))
                 }
                 Kind::Produce => {
                     let (ready, pv) = st.pins(lo..pin_end, pin_of);
                     let base = acks.max(st.last[g]);
                     let normal = ready.max(base).saturating_add(t.ee_master);
-                    let mut fire = normal;
-                    if st.tick[pin_end] != NEVER && st.value[pin_end] {
+                    let (mut fire, mut delay) = (normal, t.ee_master);
+                    // The early path needs the trigger true in every lane.
+                    if st.tick[pin_end] != NEVER && st.value[pin_end].all() {
                         let mut subset = st.tick[pin_end];
                         for (&tick, &pin) in st.tick[lo..pin_end].iter().zip(&pin_of[lo..pin_end]) {
                             if step.subset & (1 << pin) != 0 {
@@ -523,33 +679,43 @@ impl<'a> LatencySchedule<'a> {
                         let early = subset.max(base).saturating_add(t.ee_early);
                         if early <= normal {
                             fire = early;
-                            if !st.forced_at(step, pv, early, pin_of) {
+                            // On a tie the earlier-posted event fires.
+                            delay = if early == normal {
+                                t.ee_early.max(t.ee_master)
+                            } else {
+                                t.ee_early
+                            };
+                            if !st.forced_at(step, &pv, early, pin_of) {
                                 let master = PlGateId::from_index(g);
                                 note(first, early, SimError::UnsoundTrigger { master });
                             }
                         }
                     }
                     consume(&mut st.consumed[ack_lo..end], fire);
+                    st.consumer_delay[ack_lo..end].fill(delay);
                     st.produced[g] = fire;
-                    (fire, step.eval(pv))
+                    (fire, step.eval::<L>(&pv))
                 }
                 Kind::Cleanup => {
                     // Pins and the efire slot: `lo..=pin_end`.
-                    let (ready, _) = st.pins(lo..ack_lo, pin_of);
-                    let fire = ready.max(st.produced[g]).saturating_add(t.c_element);
+                    let fire = st.ready(lo..ack_lo).max(st.produced[g]);
+                    let fire = fire.saturating_add(t.c_element);
                     consume(&mut st.consumed[lo..ack_lo], fire);
                     st.last[g] = fire;
-                    (fire, false)
+                    (fire, L::splat(false))
                 }
             };
             let at = fire.saturating_add(t.wire);
+            if at != NEVER {
+                st.latest = st.latest.max(at);
+            }
             for &w in &outs[step.out_lo as usize..step.out_hi as usize] {
                 let w = w as usize;
                 if w < n_slots {
                     // Token-free arc: its consumer runs later in this
                     // pass, so `consumed` still holds the previous
                     // token's consumption.
-                    st.check_delivery(w, at);
+                    st.check_delivery(w, at, fire);
                 }
                 st.tick[w] = at;
                 st.value[w] = v;
@@ -559,7 +725,7 @@ impl<'a> LatencySchedule<'a> {
         for &(slot, buffer) in &self.marked {
             let (slot, buffer) = (slot as usize, buffer as usize);
             let at = st.tick[buffer];
-            st.check_delivery(slot, at);
+            st.check_delivery(slot, at, at.saturating_sub(t.wire));
             st.tick[slot] = at;
             st.value[slot] = st.value[buffer];
             st.tick[buffer] = NEVER;
@@ -576,8 +742,7 @@ impl<'a> LatencySchedule<'a> {
             }
         }
         let completed = outputs.iter().fold(start, |c, &(t, _)| c.max(t));
-        let next_start = completed.max(inputs_done);
-        (outputs, completed, next_start)
+        (outputs, completed, inputs_done)
     }
 
     /// Whether a same-tick tie between the delivery of `a`'s next token
@@ -601,38 +766,34 @@ impl<'a> LatencySchedule<'a> {
     }
 
     fn deadlock(&self, missing_outputs: Vec<String>) -> SimError {
-        let st = &self.state;
-        let last = st
-            .last
-            .iter()
-            .chain(&st.produced)
-            .copied()
-            .filter(|&t| t != NEVER)
-            .max()
-            .unwrap_or(0);
         SimError::Deadlock {
-            at_time: ticks_to_ns(last.saturating_add(self.ticks.wire)),
+            at_time: ticks_to_ns(self.state.latest),
             missing_outputs,
         }
     }
 }
 
 impl Step {
-    fn eval(&self, pv: u8) -> bool {
-        bool::eval(self.bits, &pv, self.full, self.const_mask, self.const_bits)
+    fn eval<L: LaneWord>(&self, pv: &L::PinVals) -> L {
+        L::eval(self.bits, pv, self.full, self.const_mask, self.const_bits)
     }
 }
 
-impl State {
-    /// Latest arrival over the pin slots `slots`, and their value bits.
-    fn pins(&self, slots: std::ops::Range<usize>, pin_of: &[u8]) -> (u64, u8) {
+impl<L: LaneWord> State<L> {
+    /// Latest arrival over `slots`.
+    fn ready(&self, slots: std::ops::Range<usize>) -> u64 {
+        self.tick[slots].iter().fold(0, |r, &x| r.max(x))
+    }
+
+    /// Latest arrival over the pin slots `slots`, and their values.
+    fn pins(&self, slots: std::ops::Range<usize>, pin_of: &[u8]) -> (u64, L::PinVals) {
         let mut ready = 0;
-        let mut pv = 0u8;
+        let mut pv = L::pv_empty();
         let (ticks, values) = (&self.tick[slots.clone()], &self.value[slots.clone()]);
         for ((&tick, &value), &pin) in ticks.iter().zip(values).zip(&pin_of[slots]) {
             ready = ready.max(tick);
             if pin < 8 {
-                pv |= u8::from(value) << pin;
+                L::pv_set(&mut pv, pin, value);
             }
         }
         (ready, pv)
@@ -641,7 +802,7 @@ impl State {
     /// Whether a master's output is forced at an early production at tick
     /// `at`: subset pins known, other pins known only if they arrived
     /// strictly before `at`.
-    fn forced_at(&self, step: &Step, pv: u8, at: u64, pin_of: &[u8]) -> bool {
+    fn forced_at(&self, step: &Step, pv: &L::PinVals, at: u64, pin_of: &[u8]) -> bool {
         let pins = step.lo as usize..step.pin_end as usize;
         let mut known = step.subset;
         for (&tick, &pin) in self.tick[pins.clone()].iter().zip(&pin_of[pins]) {
@@ -650,9 +811,9 @@ impl State {
             }
         }
         known & step.full == step.full
-            || bool::forced(
+            || L::forced(
                 step.bits,
-                &pv,
+                pv,
                 known & step.full,
                 step.full,
                 step.const_mask,
@@ -663,10 +824,16 @@ impl State {
 
     /// Records a suspect if a token arriving in `slot` at tick `at` lands
     /// on or before the consumption of the token it follows.
-    fn check_delivery(&mut self, slot: usize, at: u64) {
+    fn check_delivery(&mut self, slot: usize, at: u64, posted: u64) {
         let consumed = self.consumed[slot];
         if at != NEVER && at < consumed {
-            self.suspects.push((slot as u32, at, at + 1 < consumed));
+            // Same-tick events dispatch in posting order; only a tie in
+            // posting ticks too is left to the causal check.
+            let consumer_posted = (consumed - 1).saturating_sub(self.consumer_delay[slot]);
+            let tie = at + 1 == consumed && consumer_posted <= posted;
+            if !tie || consumer_posted == posted {
+                self.suspects.push((slot as u32, at, !tie));
+            }
         }
     }
 }
@@ -886,7 +1053,7 @@ mod tests {
     }
 
     /// Same completed prefix (words and timing bits) and the same typed
-    /// error; a deadlock's `at_time` is not compared.
+    /// error, a deadlock's `at_time` included.
     fn assert_same_run(pl: &PlNetlist, delays: &DelayModel, vecs: &[Vec<bool>], context: &str) {
         let (want, want_err) = engine_run(pl, delays, vecs);
         let (got, got_err) = schedule_run(pl, delays, vecs);
@@ -906,17 +1073,7 @@ mod tests {
             bits(&want),
             "{context}: completed prefix (errors {got_err:?} vs {want_err:?})"
         );
-        match (&got_err, &want_err) {
-            (
-                Some(SimError::Deadlock {
-                    missing_outputs: a, ..
-                }),
-                Some(SimError::Deadlock {
-                    missing_outputs: b, ..
-                }),
-            ) => assert_eq!(a, b, "{context}"),
-            _ => assert_eq!(got_err, want_err, "{context}"),
-        }
+        assert_eq!(got_err, want_err, "{context}");
     }
 
     /// Every single-arc deletion of several small nets — most break
@@ -924,18 +1081,7 @@ mod tests {
     /// the schedule exactly as by the event engine.
     #[test]
     fn arc_removal_faults_match_event_engine() {
-        let ee = |n: &Netlist| {
-            PlNetlist::from_sync(n)
-                .unwrap()
-                .with_early_evaluation(&EeOptions::default())
-                .into_netlist()
-        };
-        let nets = [
-            ("ripple", PlNetlist::from_sync(&ripple(3)).unwrap()),
-            ("ripple ee", ee(&ripple(3))),
-            ("acc", PlNetlist::from_sync(&accumulator()).unwrap()),
-            ("acc ee", ee(&accumulator())),
-        ];
+        let nets = fault_nets();
         let mut survived = 0;
         for (name, pl) in &nets {
             let vecs = vectors(pl.input_gates().len(), 12);
@@ -946,8 +1092,9 @@ mod tests {
                     let context = format!("{name} without arc {victim}");
                     assert_same_run(&broken, &delays, &vecs, &context);
                 }
-                survived +=
-                    usize::from(LatencySchedule::new(&broken, DelayModel::default()).is_ok());
+                survived += usize::from(
+                    LatencySchedule::<bool>::new(&broken, DelayModel::default()).is_ok(),
+                );
             }
         }
         assert!(
@@ -1011,7 +1158,7 @@ mod tests {
                 if victim < pl.arcs().len() {
                     net.inject_remove_arc(PlArcId::from_index(victim));
                 }
-                let Ok(mut s) = LatencySchedule::new(&net, DelayModel::default()) else {
+                let Ok(mut s) = LatencySchedule::<bool>::new(&net, DelayModel::default()) else {
                     continue;
                 };
                 let safe: Vec<bool> = (0..net.arcs().len()).map(|a| s.tie_is_safe(a)).collect();
@@ -1057,5 +1204,197 @@ mod tests {
         let first = s.run(&vecs).unwrap();
         assert_eq!(s.run(&vecs).unwrap(), first);
         assert_eq!(s.run(&[]).unwrap(), Vec::new());
+    }
+
+    // ---- the streamed protocol, at both widths ---------------------------
+
+    /// The 64-lane stream the `lanes_*` tests feed: every lane carries the
+    /// scalar vector in two rounds of three, so EE masters meet all-lanes
+    /// triggers and take the early path; the third round scrambles the
+    /// lanes.
+    fn lane_words(vecs: &[Vec<bool>]) -> Vec<Vec<u64>> {
+        let mut x = 0x1A4E_5EEDu64;
+        vecs.iter()
+            .enumerate()
+            .map(|(r, v)| {
+                v.iter()
+                    .map(|&b| {
+                        x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        u64::splat(b) ^ if r % 3 == 2 { x } else { 0 }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The schedule's `run_stream` reports exactly what the event engine's
+    /// does on a fresh simulator: the same words and makespan/throughput
+    /// bits, or the same typed error (a deadlock's `at_time` included).
+    fn assert_same_stream<L: LaneWord>(
+        pl: &PlNetlist,
+        delays: &DelayModel,
+        vecs: &[Vec<L>],
+        context: &str,
+    ) {
+        let want = crate::LaneSimulator::<L>::new(pl, delays.clone())
+            .and_then(|mut sim| sim.run_stream(vecs));
+        let got =
+            LatencySchedule::<L>::new(pl, delays.clone()).and_then(|mut s| s.run_stream(vecs));
+        let bits = |o: &StreamOutcome<L>| {
+            (
+                o.outputs.clone(),
+                o.makespan.to_bits(),
+                o.throughput.to_bits(),
+            )
+        };
+        match (&got, &want) {
+            (Ok(g), Ok(w)) => assert_eq!(bits(g), bits(w), "{context}"),
+            _ => assert_eq!(got, want, "{context}"),
+        }
+    }
+
+    /// The nets whose every single-arc deletion the fault tests try.
+    fn fault_nets() -> [(&'static str, PlNetlist); 4] {
+        let ee = |n: &Netlist| {
+            PlNetlist::from_sync(n)
+                .unwrap()
+                .with_early_evaluation(&EeOptions::default())
+                .into_netlist()
+        };
+        [
+            ("ripple", PlNetlist::from_sync(&ripple(3)).unwrap()),
+            ("ripple ee", ee(&ripple(3))),
+            ("acc", PlNetlist::from_sync(&accumulator()).unwrap()),
+            ("acc ee", ee(&accumulator())),
+        ]
+    }
+
+    fn stream_arc_removal(widen: impl Fn(&[Vec<bool>]) -> StreamCase) {
+        for (name, pl) in &fault_nets() {
+            let vecs = vectors(pl.input_gates().len(), 12);
+            let case = widen(&vecs);
+            for victim in 0..pl.arcs().len() {
+                let mut broken = pl.clone();
+                broken.inject_remove_arc(PlArcId::from_index(victim));
+                for delays in [DelayModel::default(), DelayModel::default().scaled(0.37)] {
+                    case.assert_same(&broken, &delays, &format!("{name} without arc {victim}"));
+                }
+            }
+        }
+    }
+
+    fn stream_unsound_triggers(widen: impl Fn(&[Vec<bool>]) -> StreamCase) {
+        for sync in [ripple(4), accumulator()] {
+            let report = PlNetlist::from_sync(&sync)
+                .unwrap()
+                .with_early_evaluation(&EeOptions::default());
+            let pairs: Vec<_> = report
+                .pairs()
+                .iter()
+                .map(|p| (p.master, p.candidate.table.num_vars()))
+                .collect();
+            let pl = report.into_netlist();
+            let vecs = vectors(pl.input_gates().len(), 24);
+            for (master, arity) in pairs {
+                let mut broken = pl.clone();
+                broken.inject_trigger_table(master, TruthTable::ones(arity));
+                for delays in [DelayModel::default(), DelayModel::default().scaled(0.37)] {
+                    for n in 0..=vecs.len() {
+                        let context = format!("{} trigger on {master:?}, {n} vectors", sync.name());
+                        widen(&vecs[..n]).assert_same(&broken, &delays, &context);
+                        // A malformed vector after them: only errors the
+                        // engine met while draining earlier feeds count.
+                        let mut bad = vecs[..n].to_vec();
+                        bad.push(vec![true]);
+                        widen(&bad).assert_same(&broken, &delays, &format!("{context}, then bad"));
+                    }
+                }
+            }
+        }
+    }
+
+    fn stream_wrong_arity(widen: impl Fn(&[Vec<bool>]) -> StreamCase) {
+        let pl = PlNetlist::from_sync(&ripple(2)).unwrap();
+        for at in 0..4 {
+            let mut vecs = vectors(4, 3);
+            vecs.insert(at, vec![true]);
+            widen(&vecs).assert_same(&pl, &DelayModel::default(), &format!("bad arity at {at}"));
+        }
+    }
+
+    /// A stream at either width.
+    enum StreamCase {
+        Scalar(Vec<Vec<bool>>),
+        Lanes(Vec<Vec<u64>>),
+    }
+
+    impl StreamCase {
+        fn scalar(vecs: &[Vec<bool>]) -> Self {
+            Self::Scalar(vecs.to_vec())
+        }
+
+        fn lanes(vecs: &[Vec<bool>]) -> Self {
+            Self::Lanes(lane_words(vecs))
+        }
+
+        fn assert_same(&self, pl: &PlNetlist, delays: &DelayModel, context: &str) {
+            match self {
+                Self::Scalar(v) => assert_same_stream(pl, delays, v, context),
+                Self::Lanes(v) => assert_same_stream(pl, delays, v, context),
+            }
+        }
+    }
+
+    /// Every single-arc deletion is reported by the streamed schedule
+    /// exactly as by the event engine's `run_stream`.
+    #[test]
+    fn stream_arc_removal_faults_match_event_engine() {
+        stream_arc_removal(StreamCase::scalar);
+    }
+
+    #[test]
+    fn lanes_arc_removal_faults_match_event_engine() {
+        stream_arc_removal(StreamCase::lanes);
+    }
+
+    /// Always-firing triggers, at every stream length, with and without a
+    /// malformed vector after the stream: an early firing past the run's
+    /// horizon is not reported, one inside it is.
+    #[test]
+    fn stream_unsound_triggers_match_event_engine() {
+        stream_unsound_triggers(StreamCase::scalar);
+    }
+
+    #[test]
+    fn lanes_unsound_triggers_match_event_engine() {
+        stream_unsound_triggers(StreamCase::lanes);
+    }
+
+    /// A malformed vector at every position: the engine rejects it when
+    /// feeding it, after draining the previous feeds only.
+    #[test]
+    fn stream_wrong_arity_stops_at_the_feed() {
+        stream_wrong_arity(StreamCase::scalar);
+    }
+
+    #[test]
+    fn lanes_wrong_arity_stops_at_the_feed() {
+        stream_wrong_arity(StreamCase::lanes);
+    }
+
+    #[test]
+    fn stream_runs_restart_from_the_initial_marking() {
+        let pl = PlNetlist::from_sync(&accumulator()).unwrap();
+        let vecs = vectors(2, 10);
+        let mut s = LatencySchedule::new(&pl, DelayModel::default()).unwrap();
+        let first = s.run_stream(&vecs).unwrap();
+        assert_eq!(s.run(&vecs).unwrap().len(), vecs.len());
+        assert_eq!(s.run_stream(&vecs).unwrap(), first);
+        let empty = s.run_stream(&[]).unwrap();
+        assert!(empty.outputs.is_empty() && empty.makespan == 0.0);
+        assert_same_stream::<bool>(&pl, &DelayModel::default(), &[], "empty");
+        assert_same_stream::<u64>(&pl, &DelayModel::default(), &[], "empty lanes");
     }
 }

@@ -61,7 +61,7 @@ const SPEC: CliSpec = CliSpec {
         OptSpec {
             long: "--jobs",
             value: Some("J"),
-            help: "worker threads for the simulate stage: the plain and EE variants run concurrently, lane substream blocks are scattered (0 = one per core)",
+            help: "worker threads for the simulate stage: the plain and EE variants run concurrently, and under --lanes each variant's lane blocks too (0 = one per core)",
         },
         OptSpec {
             long: "--window",
@@ -71,7 +71,7 @@ const SPEC: CliSpec = CliSpec {
         OptSpec {
             long: "--lanes",
             value: Some("N"),
-            help: "stripe the vectors across 64 substreams and sweep them at lane width N: 1 = scalar engines, 64 = the word-parallel batch engine (outputs are bit-identical either way; prints a lane digest)",
+            help: "stripe the vectors across 64 substreams and run them at lane width N: 1 = 64 one-lane runs, 64 = one run of 64-lane words (outputs are bit-identical either way; prints a lane digest)",
         },
         OptSpec {
             long: "--checkpoint-dir",
@@ -1189,8 +1189,8 @@ fn print_lint_stage(label: &str, stage: &pl_flow::LintStageReport) {
 
 /// Prints the lane protocol's deterministic FNV-1a digest over the
 /// reassembled output words, in vector order. The line carries no lane
-/// width on purpose: `--lanes 1` (64 scalar substream engines) and
-/// `--lanes 64` (one batch engine per block) must print the identical
+/// width on purpose: `--lanes 1` (64 one-lane substream runs) and
+/// `--lanes 64` (one run of 64-lane words) must print the identical
 /// digest — the CI batch determinism smoke diffs exactly this line.
 fn print_lane_digest(words: &[Vec<bool>]) {
     let mut digest = pl_sim::Fnv64::new();

@@ -11,9 +11,11 @@
 //! across the ITC'99 suite (with and without early evaluation) and across
 //! randomized netlists. The static latency schedule
 //! (`pl_sim::LatencySchedule`, the engine behind `measure_latency_on`) is
-//! a third engine for the per-vector protocol and must match the event
-//! engine **exactly**: the same output words and bit-identical latencies
-//! and completion times, at several delay models. The memoized
+//! a third engine for the per-vector and streamed protocols and must
+//! match the event engine **exactly**: the same output words and
+//! bit-identical latencies and completion times, and for streams the same
+//! makespan and throughput at one lane and at 64, at several delay
+//! models. The memoized
 //! word-parallel trigger search is also pinned candidate-for-candidate to
 //! the pre-refactor per-assignment search on every compute gate of real
 //! designs.
@@ -24,8 +26,8 @@ use pl_core::trigger::{search_triggers_baseline, TriggerCache};
 use pl_core::{PlGateId, PlGateKind, PlNetlist};
 use pl_netlist::Netlist;
 use pl_sim::{
-    DelayModel, FaultPlan, LatencySchedule, PlSimulator, ReferenceSimulator, ResumableOptions,
-    SimError,
+    DelayModel, FaultPlan, LaneSimulator, LaneWord, LatencySchedule, PlSimulator,
+    ReferenceSimulator, ResumableOptions, SimError,
 };
 use pl_techmap::{map_to_lut4, MapOptions};
 
@@ -39,11 +41,57 @@ fn seed_for(id: &str, salt: u64) -> u64 {
     })
 }
 
+/// The 64-lane word stream built from `vecs`: two rounds in three carry
+/// the same vector in every lane (so EE masters can take the all-lanes
+/// early path), the third a different vector per lane.
+fn lane_words(vecs: &[Vec<bool>]) -> Vec<Vec<u64>> {
+    (0..vecs.len())
+        .map(|r| {
+            let lane_vec = |l: usize| &vecs[if r % 3 == 2 { (r + l) % vecs.len() } else { r }];
+            (0..vecs[r].len())
+                .map(|p| (0..64).fold(0u64, |w, l| w | u64::from(lane_vec(l)[p]) << l))
+                .collect()
+        })
+        .collect()
+}
+
+/// Asserts the streamed schedule reproduces the event engine's
+/// `run_stream` exactly at width `L`: output words, makespan and
+/// throughput bits.
+fn assert_stream_exact<L: LaneWord>(
+    pl: &PlNetlist,
+    vecs: &[Vec<L>],
+    delays: &DelayModel,
+    context: &str,
+) {
+    let want = LaneSimulator::<L>::new(pl, delays.clone())
+        .expect("event engine builds")
+        .run_stream(vecs)
+        .unwrap_or_else(|e| panic!("{context}: event engine failed: {e}"));
+    let got = LatencySchedule::<L>::new(pl, delays.clone())
+        .expect("schedule builds")
+        .run_stream(vecs)
+        .unwrap_or_else(|e| panic!("{context}: schedule failed: {e}"));
+    assert_eq!(got.outputs, want.outputs, "{context}: streamed words");
+    assert_eq!(
+        (got.makespan.to_bits(), got.throughput.to_bits()),
+        (want.makespan.to_bits(), want.throughput.to_bits()),
+        "{context}: streamed timing diverged: {} vs {} ns",
+        got.makespan,
+        want.makespan
+    );
+}
+
 /// Asserts the event engine and the static schedule agree exactly on
 /// `pl` for `vecs` under `delays`: the same output words and
 /// bit-identical latencies and completion times, vector for vector —
-/// directly and through `measure_latency_on`.
+/// directly and through `measure_latency_on` — and under the streamed
+/// protocol the same words, makespan and throughput, at one lane and at
+/// 64.
 fn assert_schedule_exact(pl: &PlNetlist, vecs: &[Vec<bool>], delays: &DelayModel, context: &str) {
+    assert_stream_exact(pl, vecs, delays, &format!("{context}, streamed"));
+    let lanes = lane_words(vecs);
+    assert_stream_exact(pl, &lanes, delays, &format!("{context}, 64 lanes"));
     let mut sim = PlSimulator::new(pl, delays.clone()).expect("event engine builds");
     let scheduled = LatencySchedule::new(pl, delays.clone())
         .expect("schedule builds")
