@@ -9,8 +9,7 @@
 //! order); [`format_table3`] prints it in the paper's column layout. The
 //! `table3`, `sweep` and `table1_2` binaries expose these from the command
 //! line — `table3`, `sweep`, `ee_stats` and `bench_report` take `--jobs N`
-//! to select the worker count (`0` = auto) — and the Criterion benches
-//! measure the flow's own runtime costs.
+//! to select the worker count (`0` = auto).
 //!
 //! [`FlowOptions`], [`FlowError`], [`Lcg`] and [`lcg_vectors`] are
 //! re-exported from `pl-flow` so existing harness callers keep compiling
@@ -118,9 +117,8 @@ pub fn prepared_netlists(id: &str) -> (PlNetlist, PlNetlist) {
 }
 
 /// The per-compute-gate trigger-search stream `with_early_evaluation`
-/// issues for the given benchmarks — the netlist-shaped workload measured
-/// by both the `ee_search` Criterion bench and `bench_report` (one
-/// definition so both report the same metric).
+/// issues for the given benchmarks — the netlist-shaped workload
+/// `bench_report` times.
 ///
 /// # Panics
 ///

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use pl_netlist::{Netlist, NodeId, NodeKind};
+use pl_netlist::{Fnv64, Netlist, NodeId, NodeKind};
 
 use crate::error::PlError;
 use crate::gate::{PlArc, PlArcId, PlArcKind, PlGate, PlGateId, PlGateKind};
@@ -215,98 +215,81 @@ impl PlNetlist {
     /// verbatim after an incremental recompile.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        const PRIME: u64 = 0x100_0000_01b3;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let word = |h: &mut u64, w: u64| {
-            for b in w.to_le_bytes() {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(PRIME);
-            }
-        };
-        let bytes = |h: &mut u64, s: &[u8]| {
-            for &b in s {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(PRIME);
-            }
-            word(h, s.len() as u64);
-        };
-        bytes(&mut h, self.name.as_bytes());
-        word(&mut h, self.gates.len() as u64);
+        let mut h = Fnv64::new();
+        h.bytes(self.name.as_bytes());
+        h.word(self.gates.len() as u64);
         for g in &self.gates {
             match &g.kind {
                 PlGateKind::Input { name } => {
-                    word(&mut h, 1);
-                    bytes(&mut h, name.as_bytes());
+                    h.word(1);
+                    h.bytes(name.as_bytes());
                 }
                 PlGateKind::Constant { value } => {
-                    word(&mut h, 2);
-                    word(&mut h, u64::from(*value));
+                    h.word(2);
+                    h.word(u64::from(*value));
                 }
                 PlGateKind::Compute { table } => {
-                    word(&mut h, 3);
-                    word(&mut h, table.num_vars() as u64);
-                    word(&mut h, table.bits());
+                    h.word(3);
+                    h.word(table.num_vars() as u64);
+                    h.word(table.bits());
                 }
                 PlGateKind::Register { init } => {
-                    word(&mut h, 4);
-                    word(&mut h, u64::from(*init));
+                    h.word(4);
+                    h.word(u64::from(*init));
                 }
                 PlGateKind::Output { name } => {
-                    word(&mut h, 5);
-                    bytes(&mut h, name.as_bytes());
+                    h.word(5);
+                    h.bytes(name.as_bytes());
                 }
             }
             match &g.name {
                 Some(n) => {
-                    word(&mut h, 6);
-                    bytes(&mut h, n.as_bytes());
+                    h.word(6);
+                    h.bytes(n.as_bytes());
                 }
-                None => word(&mut h, 7),
+                None => h.word(7),
             }
-            word(&mut h, g.const_pins.len() as u64);
+            h.word(g.const_pins.len() as u64);
             for cp in &g.const_pins {
-                word(&mut h, cp.map_or(2, u64::from));
+                h.word(cp.map_or(2, u64::from));
             }
             match &g.ee {
                 Some(ee) => {
-                    word(&mut h, 8);
-                    word(&mut h, u64::from(ee.trigger.0));
-                    word(&mut h, u64::from(ee.efire_arc.0));
-                    word(&mut h, ee.subset_pins.len() as u64);
+                    h.word(8);
+                    h.word(u64::from(ee.trigger.0));
+                    h.word(u64::from(ee.efire_arc.0));
+                    h.word(ee.subset_pins.len() as u64);
                     for &p in &ee.subset_pins {
-                        word(&mut h, u64::from(p));
+                        h.word(u64::from(p));
                     }
-                    word(&mut h, ee.trigger_table.num_vars() as u64);
-                    word(&mut h, ee.trigger_table.bits());
+                    h.word(ee.trigger_table.num_vars() as u64);
+                    h.word(ee.trigger_table.bits());
                 }
-                None => word(&mut h, 9),
+                None => h.word(9),
             }
         }
-        word(&mut h, self.arcs.len() as u64);
+        h.word(self.arcs.len() as u64);
         for a in &self.arcs {
-            word(&mut h, u64::from(a.src.0));
-            word(&mut h, u64::from(a.dst.0));
-            word(
-                &mut h,
-                match a.kind {
-                    PlArcKind::Data => 0,
-                    PlArcKind::Ack => 1,
-                    PlArcKind::Efire => 2,
-                },
-            );
-            word(&mut h, u64::from(a.init_tokens));
-            word(&mut h, u64::from(a.init_value));
-            word(&mut h, a.dst_pin.map_or(u64::MAX, u64::from));
+            h.word(u64::from(a.src.0));
+            h.word(u64::from(a.dst.0));
+            h.word(match a.kind {
+                PlArcKind::Data => 0,
+                PlArcKind::Ack => 1,
+                PlArcKind::Efire => 2,
+            });
+            h.word(u64::from(a.init_tokens));
+            h.word(u64::from(a.init_value));
+            h.word(a.dst_pin.map_or(u64::MAX, u64::from));
         }
         for &i in &self.inputs {
-            word(&mut h, u64::from(i.0));
+            h.word(u64::from(i.0));
         }
-        word(&mut h, self.outputs.len() as u64);
+        h.word(self.outputs.len() as u64);
         for (name, g) in &self.outputs {
-            bytes(&mut h, name.as_bytes());
-            word(&mut h, u64::from(g.0));
+            h.bytes(name.as_bytes());
+            h.word(u64::from(g.0));
         }
-        h
+        h.finish()
     }
 
     /// Checks that every logic/output gate pin is either tied to a constant

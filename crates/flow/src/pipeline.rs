@@ -101,9 +101,10 @@ pub struct FlowOptions {
     /// When set, the simulate stage runs the *streamed* protocol instead
     /// of the per-vector latency protocol: each variant's vector stream
     /// is one sequential streamed run (vectors fed without waiting for
-    /// output words) — [`pl_sim::LatencySchedule::run_stream`], or the
-    /// event engine under [`FlowOptions::checkpoint_dir`] — and the
-    /// variants run across [`FlowOptions::jobs`]. The window is the stream's checkpoint
+    /// output words) on the static schedule
+    /// ([`pl_sim::LatencySchedule::run_stream`], checkpointed under
+    /// [`FlowOptions::checkpoint_dir`]) — and the variants run across
+    /// [`FlowOptions::jobs`]. The window is the stream's checkpoint
     /// granularity under [`FlowOptions::checkpoint_dir`]; it never changes
     /// the result. Latency statistics are empty in this mode (a pipelined
     /// stream has no per-vector stable-input→stable-output latency);
@@ -812,8 +813,8 @@ impl Pipeline {
     ///   stream through each variant as one sequential
     ///   [`pl_sim::LatencySchedule::run_stream`], reporting makespan and
     ///   throughput instead of per-vector latencies. With
-    ///   [`FlowOptions::checkpoint_dir`] set, the same run is made on the
-    ///   event engine and checkpointed every `n` vectors
+    ///   [`FlowOptions::checkpoint_dir`] set, the same stream is fed `n`
+    ///   vectors at a time and checkpointed at every window boundary
     ///   ([`pl_sim::sweep_resumable`]: on-disk checkpoints + journal,
     ///   kill/resume recovery) and the report carries each variant's
     ///   [`SweepRecovery`] audit trail. Both give the same outcome.
@@ -973,12 +974,12 @@ impl Pipeline {
         })
     }
 
-    /// Runs one variant's vector stream through the streamed protocol:
-    /// checkpointed by the crash-resumable sweep on the event engine
-    /// (under `checkpoint_dir/<variant>`) when a checkpoint directory is
-    /// configured, the static schedule's `run_stream` otherwise. Both
-    /// give the same outcome; only the resumable path yields a recovery
-    /// trail.
+    /// Runs one variant's vector stream through the streamed protocol on
+    /// the static schedule: [`pl_sim::sweep_resumable`], which feeds the
+    /// `run_stream` cursor one window at a time and checkpoints it under
+    /// `checkpoint_dir/<variant>`, when a checkpoint directory is
+    /// configured, `run_stream` itself otherwise. Both give the same
+    /// outcome; only the resumable path yields a recovery trail.
     fn sweep_stream(
         &self,
         pl: &PlNetlist,

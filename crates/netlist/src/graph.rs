@@ -6,32 +6,8 @@ use pl_boolfn::TruthTable;
 
 use crate::eco::DirtySet;
 use crate::error::NetlistError;
+use crate::fnv::Fnv64;
 use crate::node::{Node, NodeKind, MAX_LUT_ARITY};
-
-/// Minimal FNV-1a accumulator for [`Netlist::fingerprint`].
-struct Fnv(u64);
-
-impl Fnv {
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-        // Length terminator so concatenated fields cannot alias.
-        self.word(bytes.len() as u64);
-    }
-
-    fn word(&mut self, w: u64) {
-        self.bytes_no_len(&w.to_le_bytes());
-    }
-
-    fn bytes_no_len(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
 
 /// Identifier of a node inside one [`Netlist`].
 ///
@@ -362,7 +338,7 @@ impl Netlist {
     /// artifact can be reused verbatim.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv64::new();
         h.bytes(self.name.as_bytes());
         h.word(self.nodes.len() as u64);
         for n in &self.nodes {
@@ -409,7 +385,7 @@ impl Netlist {
             h.bytes(name.as_bytes());
             h.word(n.index() as u64);
         }
-        h.0
+        h.finish()
     }
 
     /// Swaps a LUT's truth table **without** the arity check — fault

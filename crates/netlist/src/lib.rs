@@ -46,6 +46,7 @@ pub mod blif;
 pub mod eco;
 mod error;
 pub mod eval;
+mod fnv;
 mod graph;
 mod node;
 pub mod opt;
@@ -54,5 +55,6 @@ pub mod verilog;
 
 pub use eco::DirtySet;
 pub use error::NetlistError;
+pub use fnv::Fnv64;
 pub use graph::{Netlist, NodeId};
 pub use node::{Node, NodeKind, MAX_LUT_ARITY};

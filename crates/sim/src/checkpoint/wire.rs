@@ -1,5 +1,5 @@
 //! Versioned, checksummed byte serialization for [`SimCheckpoint`] —
-//! the on-disk/wire form behind crash-resumable sweeps
+//! the on-disk form behind crash-resumable sweeps
 //! ([`crate::parallel::sweep_resumable`]).
 //!
 //! Hand-rolled (no serde, per the workspace's no-registry-dependency
@@ -8,14 +8,14 @@
 //! bad magic, version skew, digest mismatch, checksum failure,
 //! out-of-range indices — and never panics or silently misdecodes.
 //!
-//! # Format layout (version 1)
+//! # Format layout (version 3)
 //!
 //! All integers are little-endian. The file is:
 //!
 //! | bytes | field |
 //! |---|---|
 //! | 8 | magic `b"PLSIMCK\0"` |
-//! | 4 | format version (`u32`, currently 1) |
+//! | 4 | format version (`u32`, currently 3) |
 //! | … | sections (below), in fixed order |
 //! | 4 | trailer CRC32 over **every preceding byte** |
 //!
@@ -24,42 +24,22 @@
 //!
 //! | tag | section | payload |
 //! |---|---|---|
-//! | 1 | `HEADER` | netlist fingerprint `u64`, delay-model digest `u64`, gate/arc/output counts `u64`×3 |
-//! | 2 | `STATE` | `now`, `seq`, `events`, `rounds` (`u64`×4) |
-//! | 3 | `QUEUE` | event count `u64`, then per event: key `u128`, kind tag `u8` (0 = Tokens, 1 = Fire, 2 = Produce, 3 = Cleanup), kind fields |
-//! | 4 | `ARCS` | per-arc token bytes (0/1) ×arcs, per-arc value bytes (0/1) ×arcs |
-//! | 5 | `GATES` | `pin_tokens` ×gates, `pin_vals` ×gates, `ack_missing u32` ×gates, `pending_input` (0 = none, 1 = false, 2 = true) ×gates, `flags` (≤ 0x0F) ×gates, `gen u64` ×gates |
-//! | 6 | `RECORDS` | queue count `u64` (must equal outputs), then per queue: entry count `u64`, entries (`value u8` 0/1, `tick u64`) |
+//! | 10 | `HEADER` | netlist fingerprint `u64`, delay-model digest `u64`, gate count `u64` |
+//! | 7 | `CURSOR` | vectors fed, next start tick, latest output tick, latest delivery tick (`u64`×4); drain point and last completion (each a presence byte, then a `u64` if present); pending error (`u8` 0 = none, 1 = unsound trigger, 2 = safety violation; if present its tick `u64` and master gate or arc `u32`); missing outputs (presence byte; if present a count `u64` and that many ascending output slots `u32`) |
+//! | 8 | `GATES` | per gate the tick of its last firing `u64`, then per gate the value of its last output token (0/1 byte) |
+//! | 9 | `MASTERS` | count `u64` (the netlist's early-evaluation masters), then per master in ascending gate order: gate `u32`, last `Produce` tick `u64`, acknowledge consumer delay `u64` |
+//!
+//! A file holds only the state live at a round boundary (see
+//! [`crate::checkpoint`]), so its size depends on the netlist alone: it is
+//! the same at every window boundary of a run without errors.
 //!
 //! The trailer CRC32 covers the whole file, so **any** single byte flip
 //! (a burst error of ≤ 32 bits) is guaranteed to be rejected; the
 //! per-section CRCs localize the diagnosis. Semantic validation happens
 //! after the checksums: the header digests bind the bytes to one specific
-//! netlist (arc-topology fingerprint) and delay model, every gate index
-//! is range-checked, queue keys must be strictly ascending with in-range
-//! sequence numbers, and boolean/flag bytes must be in-domain.
-//!
-//! # Lane widths (version 2)
-//!
-//! The checkpoint is generic over the simulator's [`LaneWord`], and the
-//! wire version IS the lane width's name: scalar (`bool`) checkpoints
-//! encode exactly the version-1 layout above, byte for byte, so every
-//! pre-batch checkpoint still decodes unchanged. 64-lane (`u64`)
-//! checkpoints encode version 2 ([`VERSION_BATCH`]), which differs only
-//! where per-lane values live:
-//!
-//! * `HEADER` gains a trailing `lanes: u64` field (64);
-//! * arc values, queue `Tokens` values, and record values are 8-byte
-//!   little-endian lane words instead of 0/1 bytes;
-//! * `pin_vals` is 64 bytes per gate (8 little-endian lane words, one
-//!   per pin) instead of one bitset byte;
-//! * `pending_input` is a tag byte (0 = none, 1 = present) followed by a
-//!   lane word when present, instead of the packed 0/1/2 byte.
-//!
-//! A decode at the wrong width — a v1 file into a 64-lane simulator or a
-//! v2 file into a scalar one — is rejected with
-//! [`SimError::CheckpointLaneMismatch`] (the version field names the
-//! width before any structure is parsed).
+//! netlist (arc-topology fingerprint) and delay model, every gate, arc
+//! and output index is range-checked, masters must be exactly the
+//! netlist's, and every byte-valued field must be in its domain.
 //!
 //! # Version-evolution rules
 //!
@@ -67,48 +47,36 @@
 //!   layout change (new/removed/reordered sections or fields, changed
 //!   widths or tag values). There are no minor versions and no in-place
 //!   extension points — checkpoints are short-lived operational state,
-//!   not archives, so decoders support exactly one version per lane
-//!   width and reject everything else with
-//!   [`SimError::CheckpointVersionSkew`].
-//! * A reader that wants to migrate old checkpoints does so by matching
-//!   on the version **before** the section walk and dispatching to a
-//!   frozen copy of the old decoder; the current decoder never grows
-//!   conditional paths. (The scalar/batch split is not such a migration:
-//!   one generic walk reads both, with the lane width fixed at the
-//!   decoder's type, not by the input bytes.)
-//! * Section tags are never reused for different content across versions,
-//!   so a misversioned decode attempt fails structurally even if the
-//!   version field itself was the corrupted byte (the trailer CRC catches
-//!   that case first anyway).
+//!   not archives, so the decoder supports exactly one version and
+//!   rejects everything else with [`SimError::CheckpointVersionSkew`].
+//!   Versions 1 and 2 stored the event engine's queue, one per lane
+//!   width; a sweep meeting such a file records it as unreadable and
+//!   falls back to an older boundary.
+//! * Section tags are never reused for different content across versions
+//!   (tags 1–6 belonged to versions 1 and 2), so a misversioned decode
+//!   attempt fails structurally even if the version field itself was the
+//!   corrupted byte (the trailer CRC catches that case first anyway).
 
-use std::collections::VecDeque;
+use pl_core::{PlArcId, PlGateId, PlNetlist};
+use pl_netlist::Fnv64;
 
-use pl_core::PlNetlist;
-
-use crate::checkpoint::{netlist_fingerprint, Fnv64, SimCheckpoint};
+use crate::checkpoint::{netlist_fingerprint, MasterState, SimCheckpoint};
 use crate::delay::DelayModel;
-use crate::engine::{Event, EventKind};
 use crate::error::SimError;
 use crate::lane::LaneWord;
+use crate::schedule::Cursor;
 
 /// First eight bytes of every serialized checkpoint.
 pub const MAGIC: [u8; 8] = *b"PLSIMCK\0";
 
-/// The wire-format version for scalar (1-lane) checkpoints — the original
-/// layout, unchanged.
-pub const VERSION: u32 = 1;
-
-/// The wire-format version for 64-lane batch checkpoints (see the
-/// [module docs](self#lane-widths-version-2)).
-pub const VERSION_BATCH: u32 = 2;
+/// The wire-format version this build writes and reads.
+pub const VERSION: u32 = 3;
 
 // Section tags (never reused across versions).
-const SEC_HEADER: (u8, &str) = (1, "HEADER");
-const SEC_STATE: (u8, &str) = (2, "STATE");
-const SEC_QUEUE: (u8, &str) = (3, "QUEUE");
-const SEC_ARCS: (u8, &str) = (4, "ARCS");
-const SEC_GATES: (u8, &str) = (5, "GATES");
-const SEC_RECORDS: (u8, &str) = (6, "RECORDS");
+const SEC_HEADER: (u8, &str) = (10, "HEADER");
+const SEC_CURSOR: (u8, &str) = (7, "CURSOR");
+const SEC_GATES: (u8, &str) = (8, "GATES");
+const SEC_MASTERS: (u8, &str) = (9, "MASTERS");
 
 /// CRC32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the checksum
 /// of every section and of the whole file, and of every `pld` protocol
@@ -144,7 +112,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// FNV-1a digest of a [`DelayModel`] (the bit patterns of its five
 /// components) — binds a checkpoint to the exact delay model, since the
-/// quantized tick values baked into every queued event depend on it.
+/// quantized ticks it stores depend on it.
 #[must_use]
 pub(crate) fn delay_digest(delays: &DelayModel) -> u64 {
     let mut h = Fnv64::new();
@@ -202,12 +170,6 @@ impl<'a> Reader<'a> {
     pub(crate) fn u64(&mut self, context: &'static str) -> Result<u64, SimError> {
         Ok(u64::from_le_bytes(
             self.take(8, context)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    pub(crate) fn u128(&mut self, context: &'static str) -> Result<u128, SimError> {
-        Ok(u128::from_le_bytes(
-            self.take(16, context)?.try_into().expect("16 bytes"),
         ))
     }
 
@@ -300,175 +262,105 @@ pub(crate) fn read_section<'a>(
     Ok(payload)
 }
 
-fn push_bool(out: &mut Vec<u8>, b: bool) {
-    out.push(u8::from(b));
+fn push_u64(out: &mut Vec<u8>, x: u64) {
+    out.extend_from_slice(&x.to_le_bytes());
 }
 
-fn read_bool(r: &mut Reader<'_>, field: &'static str) -> Result<bool, SimError> {
-    match r.u8(field)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(SimError::CheckpointOutOfRange {
-            field,
-            value: u64::from(other),
-            limit: 1,
-        }),
-    }
-}
-
-fn check_gate(gate: u32, gates: usize, field: &'static str) -> Result<(), SimError> {
-    if (gate as usize) < gates {
-        Ok(())
-    } else {
-        Err(SimError::CheckpointOutOfRange {
-            field,
-            value: u64::from(gate),
-            limit: gates as u64,
-        })
-    }
-}
-
-/// Reads one lane word at the checkpoint's width. For the scalar word
-/// this is exactly the old 0/1-byte boolean read (with the same
-/// out-of-range error on other bytes); wider words cannot be out of
-/// domain.
-fn read_word<L: LaneWord>(r: &mut Reader<'_>, field: &'static str) -> Result<L, SimError> {
-    let bytes = r.take(L::WIRE_BYTES, field)?;
-    L::from_wire(bytes).ok_or(SimError::CheckpointOutOfRange {
-        field,
-        value: u64::from(bytes[0]),
-        limit: 1,
-    })
-}
-
-impl<L: LaneWord> SimCheckpoint<L> {
-    /// The wire version this lane width encodes and expects: the version
-    /// field names the width, so a cross-width decode fails before any
-    /// structure is parsed.
-    fn wire_version() -> u32 {
-        if L::LANES == 1 {
-            VERSION
-        } else {
-            VERSION_BATCH
+fn push_opt(out: &mut Vec<u8>, x: Option<u64>) {
+    match x {
+        None => out.push(0),
+        Some(x) => {
+            out.push(1);
+            push_u64(out, x);
         }
     }
+}
+
+fn read_opt(r: &mut Reader<'_>, field: &'static str) -> Result<Option<u64>, SimError> {
+    match r.u8(field)? {
+        0 => Ok(None),
+        1 => Ok(Some(r.u64(field)?)),
+        other => Err(out_of_range(field, u64::from(other), 1)),
+    }
+}
+
+fn out_of_range(field: &'static str, value: u64, limit: u64) -> SimError {
+    SimError::CheckpointOutOfRange {
+        field,
+        value,
+        limit,
+    }
+}
+
+impl SimCheckpoint {
     /// Serializes this checkpoint to the versioned, CRC-protected wire
     /// format described in the [module docs](self). `delays` must be the
-    /// delay model the snapshotted simulator ran with — its digest is
+    /// delay model the snapshotted schedule ran with — its digest is
     /// embedded so [`SimCheckpoint::from_bytes`] can refuse to resume
-    /// under a different model (the quantized ticks inside the event
-    /// queue would silently disagree otherwise).
+    /// under a different model (the stored ticks would silently disagree
+    /// otherwise).
     #[must_use]
     pub fn to_bytes(&self, delays: &DelayModel) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            64 + self.queue.len() * (26 + L::WIRE_BYTES)
-                + self.arcs * (1 + L::WIRE_BYTES)
-                + self.gates * (15 + L::PV_WIRE_BYTES + L::WIRE_BYTES)
-                + self.outputs * 16,
-        );
+        let gates = self.last.len();
+        let mut out = Vec::with_capacity(160 + gates * 9 + self.masters.len() * 20);
         out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&Self::wire_version().to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
 
-        let mut p = Vec::with_capacity(48);
-        p.extend_from_slice(&self.fingerprint.to_le_bytes());
-        p.extend_from_slice(&delay_digest(delays).to_le_bytes());
-        p.extend_from_slice(&(self.gates as u64).to_le_bytes());
-        p.extend_from_slice(&(self.arcs as u64).to_le_bytes());
-        p.extend_from_slice(&(self.outputs as u64).to_le_bytes());
-        if L::LANES != 1 {
-            p.extend_from_slice(&(L::LANES as u64).to_le_bytes());
+        let mut p = Vec::with_capacity(gates * 9);
+        for x in [self.fingerprint, delay_digest(delays), gates as u64] {
+            push_u64(&mut p, x);
         }
         push_section(&mut out, SEC_HEADER.0, &p);
 
         p.clear();
-        for x in [self.now, self.seq, self.events, self.rounds] {
-            p.extend_from_slice(&x.to_le_bytes());
+        let c = &self.cursor;
+        for x in [c.fed, c.start, c.last, self.latest] {
+            push_u64(&mut p, x);
         }
-        push_section(&mut out, SEC_STATE.0, &p);
-
-        p.clear();
-        p.extend_from_slice(&(self.queue.len() as u64).to_le_bytes());
-        for e in &self.queue {
-            p.extend_from_slice(&e.key.to_le_bytes());
-            match e.kind {
-                EventKind::Tokens {
-                    gate,
-                    value,
-                    data,
-                    acks,
-                } => {
-                    p.push(0);
-                    p.extend_from_slice(&gate.to_le_bytes());
-                    value.to_wire(&mut p);
-                    push_bool(&mut p, data);
-                    push_bool(&mut p, acks);
-                }
-                EventKind::Fire { gate } => {
-                    p.push(1);
-                    p.extend_from_slice(&gate.to_le_bytes());
-                }
-                EventKind::Produce { gate, gen } => {
-                    p.push(2);
-                    p.extend_from_slice(&gate.to_le_bytes());
-                    p.extend_from_slice(&gen.to_le_bytes());
-                }
-                EventKind::Cleanup { gate, gen } => {
-                    p.push(3);
-                    p.extend_from_slice(&gate.to_le_bytes());
-                    p.extend_from_slice(&gen.to_le_bytes());
+        push_opt(&mut p, c.drained_to);
+        push_opt(&mut p, c.completed_last);
+        match &c.first {
+            None => p.push(0),
+            Some((tick, e)) => {
+                let (tag, index) = match e {
+                    SimError::UnsoundTrigger { master } => (1, master.index()),
+                    SimError::SafetyViolation { arc, .. } => (2, arc.index()),
+                    other => unreachable!("a stream notes no {other}"),
+                };
+                p.push(tag);
+                push_u64(&mut p, *tick);
+                p.extend_from_slice(&(index as u32).to_le_bytes());
+            }
+        }
+        match &c.missing {
+            None => p.push(0),
+            Some(slots) => {
+                p.push(1);
+                push_u64(&mut p, slots.len() as u64);
+                for s in slots {
+                    p.extend_from_slice(&s.to_le_bytes());
                 }
             }
         }
-        push_section(&mut out, SEC_QUEUE.0, &p);
+        push_section(&mut out, SEC_CURSOR.0, &p);
 
         p.clear();
-        p.extend_from_slice(&self.tokens);
+        for &t in &self.last {
+            push_u64(&mut p, t);
+        }
         for &v in &self.values {
             v.to_wire(&mut p);
-        }
-        push_section(&mut out, SEC_ARCS.0, &p);
-
-        p.clear();
-        p.extend_from_slice(&self.pin_tokens);
-        for pv in &self.pin_vals {
-            L::pv_to_wire(pv, &mut p);
-        }
-        for &a in &self.ack_missing {
-            p.extend_from_slice(&a.to_le_bytes());
-        }
-        for &pi in &self.pending_input {
-            if L::LANES == 1 {
-                // The v1 packed byte: 0 = none, 1 = false, 2 = true.
-                p.push(match pi {
-                    None => 0,
-                    Some(v) => 1 + u8::from(v.lane(0)),
-                });
-            } else {
-                match pi {
-                    None => p.push(0),
-                    Some(v) => {
-                        p.push(1);
-                        v.to_wire(&mut p);
-                    }
-                }
-            }
-        }
-        p.extend_from_slice(&self.flags);
-        for &g in &self.gen {
-            p.extend_from_slice(&g.to_le_bytes());
         }
         push_section(&mut out, SEC_GATES.0, &p);
 
         p.clear();
-        p.extend_from_slice(&(self.records.len() as u64).to_le_bytes());
-        for q in &self.records {
-            p.extend_from_slice(&(q.len() as u64).to_le_bytes());
-            for &(v, t) in q {
-                v.to_wire(&mut p);
-                p.extend_from_slice(&t.to_le_bytes());
-            }
+        push_u64(&mut p, self.masters.len() as u64);
+        for m in &self.masters {
+            p.extend_from_slice(&m.gate.to_le_bytes());
+            push_u64(&mut p, m.produced);
+            push_u64(&mut p, m.ack_delay);
         }
-        push_section(&mut out, SEC_RECORDS.0, &p);
+        push_section(&mut out, SEC_MASTERS.0, &p);
 
         out.extend_from_slice(&crc32(&out).to_le_bytes());
         out
@@ -487,14 +379,12 @@ impl<L: LaneWord> SimCheckpoint<L> {
     /// # Errors
     ///
     /// [`SimError::CheckpointTruncated`], [`SimError::CheckpointBadMagic`],
-    /// [`SimError::CheckpointVersionSkew`],
-    /// [`SimError::CheckpointLaneMismatch`] (a checkpoint written at the
-    /// other lane width — the version field names the width, so this is
-    /// detected before any structure is parsed),
+    /// [`SimError::CheckpointVersionSkew`] (any version but
+    /// [`VERSION`], the event engine's versions 1 and 2 included),
     /// [`SimError::CheckpointChecksum`],
     /// [`SimError::CheckpointDigestMismatch`] (wrong netlist, delay model,
-    /// or shape counts), and [`SimError::CheckpointOutOfRange`] (indices
-    /// or enum bytes outside their domain).
+    /// or gate count), and [`SimError::CheckpointOutOfRange`] (indices,
+    /// counts or byte fields outside their domain).
     pub fn from_bytes(bytes: &[u8], pl: &PlNetlist, delays: &DelayModel) -> Result<Self, SimError> {
         let mut r = Reader::new(bytes);
         let magic = r.take(8, "magic")?;
@@ -504,20 +394,10 @@ impl<L: LaneWord> SimCheckpoint<L> {
             });
         }
         let version = r.u32("version")?;
-        if version != Self::wire_version() {
-            // A known version at the wrong width is a lane mismatch, not
-            // skew: the encoding is valid, it just belongs to the other
-            // simulator width.
-            return Err(if version == VERSION || version == VERSION_BATCH {
-                SimError::CheckpointLaneMismatch {
-                    found: if version == VERSION { 1 } else { 64 },
-                    expected: L::LANES as u32,
-                }
-            } else {
-                SimError::CheckpointVersionSkew {
-                    found: version,
-                    supported: Self::wire_version(),
-                }
+        if version != VERSION {
+            return Err(SimError::CheckpointVersionSkew {
+                found: version,
+                supported: VERSION,
             });
         }
         // Whole-file CRC before trusting any structure: guarantees every
@@ -541,44 +421,16 @@ impl<L: LaneWord> SimCheckpoint<L> {
             });
         }
         let mut r = Reader::new(&bytes[12..body_len]);
+        let (gates, arcs, outputs) = (pl.gates().len(), pl.arcs().len(), pl.output_gates().len());
 
         let mut h = Reader::new(read_section(&mut r, SEC_HEADER)?);
-        let fingerprint = h.u64("header fingerprint")?;
-        let delays_stored = h.u64("header delay digest")?;
-        let gates = h.u64("header gate count")?;
-        let arcs = h.u64("header arc count")?;
-        let outputs = h.u64("header output count")?;
-        if L::LANES != 1 {
-            let lanes = h.u64("header lane count")?;
-            if lanes != L::LANES as u64 {
-                return Err(SimError::CheckpointLaneMismatch {
-                    found: lanes as u32,
-                    expected: L::LANES as u32,
-                });
-            }
-        }
-        h.expect_end("header size")?;
-        let expected_fp = netlist_fingerprint(pl);
-        if fingerprint != expected_fp {
-            return Err(SimError::CheckpointDigestMismatch {
-                what: "netlist fingerprint",
-                stored: fingerprint,
-                expected: expected_fp,
-            });
-        }
-        let expected_dd = delay_digest(delays);
-        if delays_stored != expected_dd {
-            return Err(SimError::CheckpointDigestMismatch {
-                what: "delay model",
-                stored: delays_stored,
-                expected: expected_dd,
-            });
-        }
-        for (what, stored, expected) in [
-            ("gate count", gates, pl.gates().len() as u64),
-            ("arc count", arcs, pl.arcs().len() as u64),
-            ("output count", outputs, pl.output_gates().len() as u64),
-        ] {
+        let checks = [
+            ("netlist fingerprint", netlist_fingerprint(pl)),
+            ("delay model", delay_digest(delays)),
+            ("gate count", gates as u64),
+        ];
+        for (what, expected) in checks {
+            let stored = h.u64(what)?;
             if stored != expected {
                 return Err(SimError::CheckpointDigestMismatch {
                     what,
@@ -587,195 +439,147 @@ impl<L: LaneWord> SimCheckpoint<L> {
                 });
             }
         }
-        let (gates, arcs, outputs) = (gates as usize, arcs as usize, outputs as usize);
+        h.expect_end("header size")?;
 
-        let mut s = Reader::new(read_section(&mut r, SEC_STATE)?);
-        let now = s.u64("state now")?;
-        let seq = s.u64("state seq")?;
-        let events = s.u64("state events")?;
-        let rounds = s.u64("state rounds")?;
-        s.expect_end("state size")?;
-
-        let mut q = Reader::new(read_section(&mut r, SEC_QUEUE)?);
-        // Smallest event encoding: key (16) + tag (1) + gate (4).
-        let n_events = q.count(21, "queue event count")?;
-        let mut queue = Vec::with_capacity(n_events);
-        let mut prev_key = None;
-        for _ in 0..n_events {
-            let key = q.u128("queue event key")?;
-            if prev_key.is_some_and(|p| p >= key) {
-                return Err(SimError::CheckpointOutOfRange {
-                    field: "queue key order",
-                    value: queue.len() as u64,
-                    limit: n_events as u64,
-                });
-            }
-            prev_key = Some(key);
-            let event_seq = key as u64;
-            if event_seq >= seq {
-                return Err(SimError::CheckpointOutOfRange {
-                    field: "queue event seq",
-                    value: event_seq,
-                    limit: seq,
-                });
-            }
-            let kind = match q.u8("queue event tag")? {
-                0 => {
-                    let gate = q.u32("queue event gate")?;
-                    check_gate(gate, gates, "queue event gate")?;
-                    EventKind::Tokens {
-                        gate,
-                        value: read_word::<L>(&mut q, "queue event value")?,
-                        data: read_bool(&mut q, "queue event data")?,
-                        acks: read_bool(&mut q, "queue event acks")?,
+        let mut c = Reader::new(read_section(&mut r, SEC_CURSOR)?);
+        let fed = c.u64("cursor vectors fed")?;
+        let start = c.u64("cursor start")?;
+        let last = c.u64("cursor latest output")?;
+        let latest = c.u64("cursor latest delivery")?;
+        let drained_to = read_opt(&mut c, "cursor drain point")?;
+        let completed_last = read_opt(&mut c, "cursor last completion")?;
+        let first = match c.u8("pending error")? {
+            0 => None,
+            tag @ (1 | 2) => {
+                let tick = c.u64("pending error tick")?;
+                let index = c.u32("pending error index")?;
+                let e = if tag == 1 {
+                    let is_master = pl
+                        .gates()
+                        .get(index as usize)
+                        .is_some_and(|g| g.is_logic() && g.ee().is_some());
+                    if !is_master {
+                        return Err(out_of_range(
+                            "pending error master",
+                            index.into(),
+                            gates as u64,
+                        ));
                     }
-                }
-                1 => {
-                    let gate = q.u32("queue event gate")?;
-                    check_gate(gate, gates, "queue event gate")?;
-                    EventKind::Fire { gate }
-                }
-                tag @ (2 | 3) => {
-                    let gate = q.u32("queue event gate")?;
-                    check_gate(gate, gates, "queue event gate")?;
-                    let gen = q.u64("queue event gen")?;
-                    if tag == 2 {
-                        EventKind::Produce { gate, gen }
-                    } else {
-                        EventKind::Cleanup { gate, gen }
+                    SimError::UnsoundTrigger {
+                        master: PlGateId::from_index(index as usize),
                     }
+                } else {
+                    let arc = pl.arcs().get(index as usize).ok_or_else(|| {
+                        out_of_range("pending error arc", index.into(), arcs as u64)
+                    })?;
+                    SimError::SafetyViolation {
+                        arc: PlArcId::from_index(index as usize),
+                        producer: arc.src(),
+                    }
+                };
+                Some((tick, e))
+            }
+            other => return Err(out_of_range("pending error", other.into(), 2)),
+        };
+        let missing = match c.u8("missing outputs")? {
+            0 => None,
+            1 => {
+                let n = c.count(4, "missing output count")?;
+                if n == 0 || n > outputs {
+                    return Err(out_of_range(
+                        "missing output count",
+                        n as u64,
+                        outputs as u64,
+                    ));
                 }
-                other => {
-                    return Err(SimError::CheckpointOutOfRange {
-                        field: "queue event tag",
-                        value: u64::from(other),
-                        limit: 3,
-                    })
+                let mut slots: Vec<u32> = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let s = c.u32("missing output")?;
+                    if s as usize >= outputs || slots.last().is_some_and(|&p| p >= s) {
+                        return Err(out_of_range("missing output", s.into(), outputs as u64));
+                    }
+                    slots.push(s);
                 }
-            };
-            queue.push(Event { key, kind });
-        }
-        q.expect_end("queue section size")?;
-
-        let mut a = Reader::new(read_section(&mut r, SEC_ARCS)?);
-        let mut tokens = Vec::with_capacity(arcs);
-        for _ in 0..arcs {
-            tokens.push(u8::from(read_bool(&mut a, "arc token")?));
-        }
-        let mut values = Vec::with_capacity(arcs);
-        for _ in 0..arcs {
-            values.push(read_word::<L>(&mut a, "arc value")?);
-        }
-        a.expect_end("arcs section size")?;
+                Some(slots)
+            }
+            other => return Err(out_of_range("missing outputs", other.into(), 1)),
+        };
+        c.expect_end("cursor section size")?;
 
         let mut g = Reader::new(read_section(&mut r, SEC_GATES)?);
-        let pin_tokens = g.take(gates, "gate pin tokens")?.to_vec();
-        let mut pin_vals = Vec::with_capacity(gates);
+        let mut last_fired = Vec::with_capacity(gates);
         for _ in 0..gates {
-            let bytes = g.take(L::PV_WIRE_BYTES, "gate pin values")?;
-            pin_vals.push(
-                L::pv_from_wire(bytes).ok_or(SimError::CheckpointOutOfRange {
-                    field: "gate pin values",
-                    value: u64::from(bytes[0]),
-                    limit: 1,
-                })?,
+            last_fired.push(g.u64("gate last firing")?);
+        }
+        let mut values = Vec::with_capacity(gates);
+        for _ in 0..gates {
+            let byte = g.take(bool::WIRE_BYTES, "gate value")?;
+            values.push(
+                bool::from_wire(byte)
+                    .ok_or_else(|| out_of_range("gate value", byte[0].into(), 1))?,
             );
-        }
-        let mut ack_missing = Vec::with_capacity(gates);
-        for _ in 0..gates {
-            ack_missing.push(g.u32("gate ack counter")?);
-        }
-        let mut pending_input = Vec::with_capacity(gates);
-        for _ in 0..gates {
-            let tag = g.u8("gate pending input")?;
-            pending_input.push(if L::LANES == 1 {
-                // The v1 packed byte: 0 = none, 1 = false, 2 = true.
-                match tag {
-                    0 => None,
-                    1 => Some(L::splat(false)),
-                    2 => Some(L::splat(true)),
-                    other => {
-                        return Err(SimError::CheckpointOutOfRange {
-                            field: "gate pending input",
-                            value: u64::from(other),
-                            limit: 2,
-                        })
-                    }
-                }
-            } else {
-                match tag {
-                    0 => None,
-                    1 => Some(read_word::<L>(&mut g, "gate pending input")?),
-                    other => {
-                        return Err(SimError::CheckpointOutOfRange {
-                            field: "gate pending input",
-                            value: u64::from(other),
-                            limit: 1,
-                        })
-                    }
-                }
-            });
-        }
-        let mut flags = Vec::with_capacity(gates);
-        for _ in 0..gates {
-            let f = g.u8("gate flags")?;
-            if f > 0x0F {
-                return Err(SimError::CheckpointOutOfRange {
-                    field: "gate flags",
-                    value: u64::from(f),
-                    limit: 0x0F,
-                });
-            }
-            flags.push(f);
-        }
-        let mut gen = Vec::with_capacity(gates);
-        for _ in 0..gates {
-            gen.push(g.u64("gate generation")?);
         }
         g.expect_end("gates section size")?;
 
-        let mut rec = Reader::new(read_section(&mut r, SEC_RECORDS)?);
-        let n_queues = rec.count(8, "record queue count")?;
-        if n_queues != outputs {
-            return Err(SimError::CheckpointOutOfRange {
-                field: "record queue count",
-                value: n_queues as u64,
-                limit: outputs as u64,
+        let mut m = Reader::new(read_section(&mut r, SEC_MASTERS)?);
+        let expected: Vec<u32> = (0..gates as u32)
+            .filter(|&i| {
+                let gate = &pl.gates()[i as usize];
+                gate.is_logic() && gate.ee().is_some()
+            })
+            .collect();
+        let n = m.count(20, "master count")?;
+        if n != expected.len() {
+            return Err(out_of_range(
+                "master count",
+                n as u64,
+                expected.len() as u64,
+            ));
+        }
+        let t = delays.to_ticks();
+        let delays_ok = [t.ee_master, t.ee_early, t.ee_master.max(t.ee_early)];
+        let mut masters = Vec::with_capacity(n);
+        for &want in &expected {
+            let gate = m.u32("master gate")?;
+            if gate != want {
+                return Err(out_of_range("master gate", gate.into(), gates as u64));
+            }
+            let produced = m.u64("master produce tick")?;
+            if produced > last_fired[gate as usize] {
+                return Err(out_of_range(
+                    "master produce tick",
+                    produced,
+                    last_fired[gate as usize],
+                ));
+            }
+            let ack_delay = m.u64("master ack delay")?;
+            if !delays_ok.contains(&ack_delay) {
+                return Err(out_of_range("master ack delay", ack_delay, delays_ok[2]));
+            }
+            masters.push(MasterState {
+                gate,
+                produced,
+                ack_delay,
             });
         }
-        let mut records = Vec::with_capacity(outputs);
-        for _ in 0..outputs {
-            let n = rec.count(L::WIRE_BYTES + 8, "record entry count")?;
-            let mut queue = VecDeque::with_capacity(n);
-            for _ in 0..n {
-                let v = read_word::<L>(&mut rec, "record value")?;
-                let t = rec.u64("record tick")?;
-                queue.push_back((v, t));
-            }
-            records.push(queue);
-        }
-        rec.expect_end("records section size")?;
+        m.expect_end("masters section size")?;
         r.expect_end("trailing bytes")?;
 
         Ok(SimCheckpoint {
-            gates,
-            arcs,
-            outputs,
-            fingerprint,
-            now,
-            seq,
-            events,
-            rounds,
-            queue,
-            tokens,
+            fingerprint: netlist_fingerprint(pl),
+            last: last_fired,
             values,
-            pin_tokens,
-            pin_vals,
-            ack_missing,
-            pending_input,
-            flags,
-            gen,
-            records,
+            masters,
+            latest,
+            cursor: Cursor {
+                fed,
+                start,
+                drained_to,
+                completed_last,
+                last,
+                missing,
+                first,
+            },
         })
     }
 }
@@ -783,44 +587,43 @@ impl<L: LaneWord> SimCheckpoint<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{BatchSimulator, PlSimulator};
+    use crate::schedule::LatencySchedule;
+    use pl_boolfn::TruthTable;
+    use pl_core::ee::EeOptions;
     use pl_netlist::Netlist;
 
-    fn counter() -> PlNetlist {
-        let mut n = Netlist::new("cnt");
-        let q0 = n.add_dff(false);
-        let q1 = n.add_dff(false);
-        let n0 = n.add_not(q0).unwrap();
-        let t1 = n.add_xor2(q1, q0).unwrap();
-        n.set_dff_input(q0, n0).unwrap();
-        n.set_dff_input(q1, t1).unwrap();
-        n.set_output("q0", q0);
-        n.set_output("q1", q1);
-        PlNetlist::from_sync(&n).unwrap()
+    /// A 3-bit ripple-carry adder with early evaluation: masters, marked
+    /// and token-free arcs, every section populated.
+    fn ee_adder() -> PlNetlist {
+        let mut n = Netlist::new("rca");
+        let a: Vec<_> = (0..3).map(|i| n.add_input(format!("a{i}"))).collect();
+        let b: Vec<_> = (0..3).map(|i| n.add_input(format!("b{i}"))).collect();
+        let mut carry = n.add_const(false);
+        for i in 0..3 {
+            let sum_t = TruthTable::from_fn(3, |m| m.count_ones() % 2 == 1);
+            let cry_t = TruthTable::from_fn(3, |m| m.count_ones() >= 2);
+            let s = n.add_lut(sum_t, vec![a[i], b[i], carry]).unwrap();
+            carry = n.add_lut(cry_t, vec![a[i], b[i], carry]).unwrap();
+            n.set_output(format!("s{i}"), s);
+        }
+        n.set_output("cout", carry);
+        PlNetlist::from_sync(&n)
+            .unwrap()
+            .with_early_evaluation(&EeOptions::default())
+            .into_netlist()
     }
 
-    /// A mid-stream checkpoint of a free-running counter: non-empty event
-    /// queue, non-trivial records, every section populated.
+    fn vectors(count: usize) -> Vec<Vec<bool>> {
+        crate::random_vectors(6, count, 0x3C4E)
+    }
+
+    /// A checkpoint after three fed vectors.
     fn mid_stream_checkpoint(pl: &PlNetlist) -> SimCheckpoint {
-        let mut sim = PlSimulator::new(pl, DelayModel::default()).unwrap();
-        for _ in 0..3 {
-            sim.run_vector(&[]).unwrap();
-        }
-        sim.feed_vector(&[]).unwrap();
-        let ck = sim.snapshot();
-        assert!(ck.queued_events() > 0, "the counter free-runs");
-        ck
-    }
-
-    /// The 64-lane analogue of [`mid_stream_checkpoint`].
-    fn mid_stream_batch_checkpoint(pl: &PlNetlist) -> SimCheckpoint<u64> {
-        let mut sim = BatchSimulator::new(pl, DelayModel::default()).unwrap();
-        for _ in 0..3 {
-            sim.run_vector(&[]).unwrap();
-        }
-        sim.feed_vector(&[]).unwrap();
-        let ck = sim.snapshot();
-        assert!(ck.queued_events() > 0, "the counter free-runs");
+        let mut s = LatencySchedule::new(pl, DelayModel::default()).unwrap();
+        s.start_stream();
+        s.feed(&vectors(3)).unwrap();
+        let ck = s.snapshot();
+        assert!(!ck.masters.is_empty(), "the adder has masters");
         ck
     }
 
@@ -860,7 +663,7 @@ mod tests {
 
     #[test]
     fn round_trip_is_identity_mid_stream() {
-        let pl = counter();
+        let pl = ee_adder();
         let delays = DelayModel::default();
         let ck = mid_stream_checkpoint(&pl);
         let bytes = ck.to_bytes(&delays);
@@ -870,39 +673,43 @@ mod tests {
 
     #[test]
     fn round_trip_resumes_bit_identically() {
-        let pl = counter();
+        let pl = ee_adder();
         let delays = DelayModel::default();
-        let mut reference = PlSimulator::new(&pl, delays.clone()).unwrap();
-        let expected: Vec<_> = (0..8).map(|_| reference.run_vector(&[]).unwrap()).collect();
+        let vecs = vectors(9);
+        let want = LatencySchedule::new(&pl, delays.clone())
+            .unwrap()
+            .run_stream(&vecs)
+            .unwrap();
 
-        let mut first = PlSimulator::new(&pl, delays.clone()).unwrap();
-        for e in &expected[..4] {
-            assert_eq!(&first.run_vector(&[]).unwrap(), e);
-        }
+        let mut first = LatencySchedule::new(&pl, delays.clone()).unwrap();
+        first.start_stream();
+        let mut words = first.feed(&vecs[..4]).unwrap();
         let bytes = first.snapshot().to_bytes(&delays);
         let ck = SimCheckpoint::from_bytes(&bytes, &pl, &delays).unwrap();
-        let mut resumed = PlSimulator::resume_from(&pl, delays, &ck).unwrap();
-        for e in &expected[4..] {
-            assert_eq!(&resumed.run_vector(&[]).unwrap(), e);
-        }
+        let mut resumed = LatencySchedule::new(&pl, delays).unwrap();
+        resumed.restore(&ck).unwrap();
+        words.extend(resumed.feed(&vecs[4..]).unwrap());
+        assert_eq!(resumed.finish(words).unwrap(), want);
     }
 
     #[test]
     fn initial_state_round_trips() {
-        let pl = counter();
+        let pl = ee_adder();
         let delays = DelayModel::default();
-        let ck = PlSimulator::new(&pl, delays.clone()).unwrap().snapshot();
+        let ck = LatencySchedule::new(&pl, delays.clone())
+            .unwrap()
+            .snapshot();
         let bytes = ck.to_bytes(&delays);
         assert_eq!(SimCheckpoint::from_bytes(&bytes, &pl, &delays).unwrap(), ck);
     }
 
     #[test]
     fn every_truncation_is_a_typed_error() {
-        let pl = counter();
+        let pl = ee_adder();
         let delays = DelayModel::default();
         let bytes = mid_stream_checkpoint(&pl).to_bytes(&delays);
         for len in 0..bytes.len() {
-            let err = SimCheckpoint::<bool>::from_bytes(&bytes[..len], &pl, &delays)
+            let err = SimCheckpoint::from_bytes(&bytes[..len], &pl, &delays)
                 .expect_err("truncated input must not decode");
             // Any typed error is acceptable; none may panic.
             let _ = err.to_string();
@@ -911,13 +718,13 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_is_rejected() {
-        let pl = counter();
+        let pl = ee_adder();
         let delays = DelayModel::default();
         let bytes = mid_stream_checkpoint(&pl).to_bytes(&delays);
         for i in 0..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0xA5;
-            let err = SimCheckpoint::<bool>::from_bytes(&corrupt, &pl, &delays)
+            let err = SimCheckpoint::from_bytes(&corrupt, &pl, &delays)
                 .expect_err("flipped byte must not decode");
             let _ = err.to_string();
         }
@@ -925,11 +732,11 @@ mod tests {
 
     #[test]
     fn bad_magic_is_named() {
-        let pl = counter();
+        let pl = ee_adder();
         let delays = DelayModel::default();
         let mut bytes = mid_stream_checkpoint(&pl).to_bytes(&delays);
         bytes[0] = b'X';
-        match SimCheckpoint::<bool>::from_bytes(&bytes, &pl, &delays) {
+        match SimCheckpoint::from_bytes(&bytes, &pl, &delays) {
             Err(SimError::CheckpointBadMagic { found }) => assert_eq!(found[0], b'X'),
             other => panic!("expected CheckpointBadMagic, got {other:?}"),
         }
@@ -937,49 +744,45 @@ mod tests {
 
     #[test]
     fn version_skew_is_named() {
-        let pl = counter();
+        let pl = ee_adder();
         let delays = DelayModel::default();
         let mut bytes = mid_stream_checkpoint(&pl).to_bytes(&delays);
-        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
         // A future-version file would carry valid CRCs; only the version
         // differs.
         fix_crcs(&mut bytes);
-        match SimCheckpoint::<bool>::from_bytes(&bytes, &pl, &delays) {
+        match SimCheckpoint::from_bytes(&bytes, &pl, &delays) {
             Err(SimError::CheckpointVersionSkew {
-                found: 3,
+                found: 4,
                 supported: VERSION,
             }) => {}
             other => panic!("expected CheckpointVersionSkew, got {other:?}"),
         }
     }
 
+    /// The event engine's queue checkpoints — version 1 (scalar) and 2
+    /// (64 lanes) — are version skew, named before any section is read.
     #[test]
-    fn lane_mismatch_is_named_in_both_directions() {
-        let pl = counter();
+    fn event_engine_versions_are_version_skew() {
+        let pl = ee_adder();
         let delays = DelayModel::default();
-        // A scalar (v1) file into a 64-lane decoder...
-        let scalar_bytes = mid_stream_checkpoint(&pl).to_bytes(&delays);
-        match SimCheckpoint::<u64>::from_bytes(&scalar_bytes, &pl, &delays) {
-            Err(SimError::CheckpointLaneMismatch {
-                found: 1,
-                expected: 64,
-            }) => {}
-            other => panic!("expected CheckpointLaneMismatch, got {other:?}"),
-        }
-        // ...and a 64-lane (v2) file into a scalar decoder.
-        let batch_bytes = mid_stream_batch_checkpoint(&pl).to_bytes(&delays);
-        match SimCheckpoint::<bool>::from_bytes(&batch_bytes, &pl, &delays) {
-            Err(SimError::CheckpointLaneMismatch {
-                found: 64,
-                expected: 1,
-            }) => {}
-            other => panic!("expected CheckpointLaneMismatch, got {other:?}"),
+        for old in [1u32, 2] {
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&old.to_le_bytes());
+            bytes.extend_from_slice(&[1, 40, 0, 0, 0, 0, 0, 0, 0]);
+            match SimCheckpoint::from_bytes(&bytes, &pl, &delays) {
+                Err(SimError::CheckpointVersionSkew {
+                    found,
+                    supported: VERSION,
+                }) => assert_eq!(found, old),
+                other => panic!("v{old}: expected CheckpointVersionSkew, got {other:?}"),
+            }
         }
     }
 
     #[test]
     fn wrong_netlist_is_a_digest_mismatch() {
-        let pl = counter();
+        let pl = ee_adder();
         let delays = DelayModel::default();
         let bytes = mid_stream_checkpoint(&pl).to_bytes(&delays);
         let mut n = Netlist::new("xor");
@@ -988,7 +791,7 @@ mod tests {
         let g = n.add_xor2(a, b).unwrap();
         n.set_output("y", g);
         let other = PlNetlist::from_sync(&n).unwrap();
-        match SimCheckpoint::<bool>::from_bytes(&bytes, &other, &delays) {
+        match SimCheckpoint::from_bytes(&bytes, &other, &delays) {
             Err(SimError::CheckpointDigestMismatch {
                 what: "netlist fingerprint",
                 ..
@@ -999,11 +802,11 @@ mod tests {
 
     #[test]
     fn wrong_delay_model_is_a_digest_mismatch() {
-        let pl = counter();
+        let pl = ee_adder();
         let delays = DelayModel::default();
         let bytes = mid_stream_checkpoint(&pl).to_bytes(&delays);
         let scaled = delays.scaled(2.0);
-        match SimCheckpoint::<bool>::from_bytes(&bytes, &pl, &scaled) {
+        match SimCheckpoint::from_bytes(&bytes, &pl, &scaled) {
             Err(SimError::CheckpointDigestMismatch {
                 what: "delay model",
                 ..
@@ -1014,18 +817,17 @@ mod tests {
 
     #[test]
     fn out_of_range_gate_index_is_rejected_despite_valid_checksums() {
-        let pl = counter();
+        let pl = ee_adder();
         let delays = DelayModel::default();
-        let ck = mid_stream_checkpoint(&pl);
-        let mut bytes = ck.to_bytes(&delays);
-        // QUEUE is the third section; its payload starts with the event
-        // count (8 bytes), then key (16) + tag (1) + gate (4).
-        let gate_at = payload_offset(&bytes, 2) + 8 + 16 + 1;
+        let mut bytes = mid_stream_checkpoint(&pl).to_bytes(&delays);
+        // MASTERS is the fourth section; its payload starts with the
+        // master count (8 bytes), then the first master's gate (4).
+        let gate_at = payload_offset(&bytes, 3) + 8;
         bytes[gate_at..gate_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         fix_crcs(&mut bytes);
-        match SimCheckpoint::<bool>::from_bytes(&bytes, &pl, &delays) {
+        match SimCheckpoint::from_bytes(&bytes, &pl, &delays) {
             Err(SimError::CheckpointOutOfRange {
-                field: "queue event gate",
+                field: "master gate",
                 ..
             }) => {}
             other => panic!("expected an out-of-range gate, got {other:?}"),
@@ -1034,77 +836,22 @@ mod tests {
 
     #[test]
     fn corrupted_section_names_itself() {
-        let pl = counter();
+        let pl = ee_adder();
         let delays = DelayModel::default();
         let mut bytes = mid_stream_checkpoint(&pl).to_bytes(&delays);
-        // Flip one payload byte inside STATE (section 2) and repair only
+        // Flip one payload byte inside CURSOR (section 2) and repair only
         // the trailer, leaving the section CRC stale: the decoder must
         // name the section.
-        let state_at = payload_offset(&bytes, 1);
-        bytes[state_at] ^= 0xFF;
+        let cursor_at = payload_offset(&bytes, 1);
+        bytes[cursor_at] ^= 0xFF;
         let end = bytes.len() - 4;
         let trailer = crc32(&bytes[..end]);
         bytes[end..].copy_from_slice(&trailer.to_le_bytes());
-        match SimCheckpoint::<bool>::from_bytes(&bytes, &pl, &delays) {
+        match SimCheckpoint::from_bytes(&bytes, &pl, &delays) {
             Err(SimError::CheckpointChecksum {
-                section: "STATE", ..
+                section: "CURSOR", ..
             }) => {}
-            other => panic!("expected the STATE checksum to fail, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn batch_round_trip_is_identity_mid_stream() {
-        let pl = counter();
-        let delays = DelayModel::default();
-        let ck = mid_stream_batch_checkpoint(&pl);
-        let bytes = ck.to_bytes(&delays);
-        let back = SimCheckpoint::<u64>::from_bytes(&bytes, &pl, &delays).unwrap();
-        assert_eq!(back, ck);
-    }
-
-    #[test]
-    fn batch_round_trip_resumes_bit_identically() {
-        let pl = counter();
-        let delays = DelayModel::default();
-        let mut reference = BatchSimulator::new(&pl, delays.clone()).unwrap();
-        let expected: Vec<_> = (0..8).map(|_| reference.run_vector(&[]).unwrap()).collect();
-
-        let mut first = BatchSimulator::new(&pl, delays.clone()).unwrap();
-        for e in &expected[..4] {
-            assert_eq!(&first.run_vector(&[]).unwrap(), e);
-        }
-        let bytes = first.snapshot().to_bytes(&delays);
-        let ck = SimCheckpoint::<u64>::from_bytes(&bytes, &pl, &delays).unwrap();
-        let mut resumed = BatchSimulator::resume_from(&pl, delays, &ck).unwrap();
-        for e in &expected[4..] {
-            assert_eq!(&resumed.run_vector(&[]).unwrap(), e);
-        }
-    }
-
-    #[test]
-    fn batch_every_truncation_is_a_typed_error() {
-        let pl = counter();
-        let delays = DelayModel::default();
-        let bytes = mid_stream_batch_checkpoint(&pl).to_bytes(&delays);
-        for len in 0..bytes.len() {
-            let err = SimCheckpoint::<u64>::from_bytes(&bytes[..len], &pl, &delays)
-                .expect_err("truncated input must not decode");
-            let _ = err.to_string();
-        }
-    }
-
-    #[test]
-    fn batch_every_single_byte_flip_is_rejected() {
-        let pl = counter();
-        let delays = DelayModel::default();
-        let bytes = mid_stream_batch_checkpoint(&pl).to_bytes(&delays);
-        for i in 0..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[i] ^= 0xA5;
-            let err = SimCheckpoint::<u64>::from_bytes(&corrupt, &pl, &delays)
-                .expect_err("flipped byte must not decode");
-            let _ = err.to_string();
+            other => panic!("expected the CURSOR checksum to fail, got {other:?}"),
         }
     }
 

@@ -22,8 +22,6 @@
 //!   `(tick, seq)` keys (`seq` makes the order total and deterministic:
 //!   same-tick events pop FIFO). O(log n) per operation, and free of
 //!   steady-state allocation (capacity is retained across rounds).
-//!   [`crate::SimCheckpoint`]s store the in-flight queue as a sorted
-//!   event list, not the heap's internal layout.
 //! * **CSR adjacency** — all topology questions go through
 //!   [`pl_core::PlAdjacency`]: per-gate contiguous slices of pin-indexed
 //!   data-in arcs, ack in-arcs, and out-arcs pre-split into value-carrying
@@ -72,16 +70,15 @@
 //! reference engine; `tests/engine_equivalence.rs` enforces this
 //! differentially on the ITC'99 suite and on randomized netlists.
 //!
-//! This engine runs the resumable (checkpointed) streamed protocol, whose
-//! checkpoints store its event queue, and the traced protocol. The
-//! per-vector latency protocol ([`crate::measure_latency_on`],
-//! [`crate::verify_equivalence`]), streamed runs without a checkpoint and
-//! the batch sweep ([`crate::sweep_streams_batch`]) run on
-//! [`crate::LatencySchedule`] instead, which evaluates the same firing
-//! rules as a static max-plus / min-max recurrence and is pinned to
-//! [`PlSimulator::run_vector`], [`PlSimulator::run_stream`] and
-//! [`BatchSimulator::run_lanes`] tick for tick; this engine stays its
-//! differential oracle.
+//! In production this engine runs only the traced protocol (`plc --vcd`).
+//! The per-vector latency protocol ([`crate::measure_latency_on`],
+//! [`crate::verify_equivalence`]), streamed runs — checkpointed
+//! ([`crate::sweep_resumable`]) or not — and the batch sweep
+//! ([`crate::sweep_streams_batch`]) run on [`crate::LatencySchedule`]
+//! instead, which evaluates the same firing rules as a static max-plus /
+//! min-max recurrence and is pinned to [`PlSimulator::run_vector`],
+//! [`PlSimulator::run_stream`] and [`BatchSimulator::run_lanes`] tick for
+//! tick; this engine stays its differential oracle.
 
 use std::collections::VecDeque;
 
@@ -115,8 +112,8 @@ pub struct StreamOutcome<L: LaneWord = bool> {
     pub throughput: f64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum EventKind<L: LaneWord = bool> {
+#[derive(Debug, Clone, Copy)]
+enum EventKind<L: LaneWord = bool> {
     /// Batched token delivery: every out-arc of `gate`'s firing shares the
     /// same wire delay, so all its deliveries land as ONE queue event
     /// (heap traffic per firing is O(1) instead of O(fanout)). Dispatch
@@ -144,17 +141,6 @@ pub(crate) enum EventKind<L: LaneWord = bool> {
     },
 }
 
-/// One canonicalized in-flight event as a checkpoint stores it. The live
-/// queue itself is a [`crate::queue::EventQueue`] over `(key, kind)`
-/// pairs; this struct only exists so [`crate::SimCheckpoint`] can carry a
-/// canonical sorted event list.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Event<L: LaneWord = bool> {
-    /// `(tick << 64) | seq` — a strict total order (seq is unique).
-    pub(crate) key: u128,
-    pub(crate) kind: EventKind<L>,
-}
-
 // Per-gate scheduling flags (round-trip state of the firing automaton).
 const F_FIRE_SCHED: u8 = 1 << 0;
 const F_PRODUCED: u8 = 1 << 1;
@@ -170,37 +156,33 @@ const F_EARLY_SCHED: u8 = 1 << 3;
 /// appears when writing code that works at either width.
 #[derive(Debug, Clone)]
 pub struct LaneSimulator<'a, L: LaneWord = bool> {
-    pub(crate) pl: &'a PlNetlist,
+    pl: &'a PlNetlist,
     adj: PlAdjacency,
     delays: DelayModel,
     ticks: TickDelays,
-    /// The netlist's design fingerprint
-    /// ([`crate::checkpoint::netlist_fingerprint`]), computed once here so
-    /// per-boundary snapshot/restore never re-walks the netlist.
-    pub(crate) fingerprint: u64,
-    pub(crate) now: u64,
-    pub(crate) seq: u64,
-    pub(crate) events: u64,
-    pub(crate) queue: EventQueue<EventKind<L>>,
+    now: u64,
+    seq: u64,
+    events: u64,
+    queue: EventQueue<EventKind<L>>,
     /// Per-arc token presence (0/1) — shared by all lanes.
-    pub(crate) tokens: Vec<u8>,
+    tokens: Vec<u8>,
     /// Per-arc token value (data/efire arcs), one lane word per arc.
-    pub(crate) values: Vec<L>,
+    values: Vec<L>,
     /// Per-gate bit-per-pin token presence (incremental `data_ready`) —
     /// shared by all lanes.
-    pub(crate) pin_tokens: Vec<u8>,
+    pin_tokens: Vec<u8>,
     /// Per-gate per-lane token values on the input pins (for the scalar
     /// word this is the partial LUT minterm index, as before).
-    pub(crate) pin_vals: Vec<L::PinVals>,
+    pin_vals: Vec<L::PinVals>,
     /// Per-gate count of unmarked acknowledge in-arcs (efire excluded).
-    pub(crate) ack_missing: Vec<u32>,
-    pub(crate) pending_input: Vec<Option<L>>,
-    pub(crate) flags: Vec<u8>,
+    ack_missing: Vec<u32>,
+    pending_input: Vec<Option<L>>,
+    flags: Vec<u8>,
     /// EE masters: per-gate round generation (stale-event guard).
-    pub(crate) gen: Vec<u64>,
-    pub(crate) records: Vec<VecDeque<(L, u64)>>,
-    pub(crate) rounds: u64,
-    pub(crate) trace: Option<Vec<crate::trace::TraceEvent>>,
+    gen: Vec<u64>,
+    records: Vec<VecDeque<(L, u64)>>,
+    rounds: u64,
+    trace: Option<Vec<crate::trace::TraceEvent>>,
 }
 
 /// The scalar (1-lane) simulator — the engine every existing caller uses,
@@ -231,7 +213,6 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
             pl,
             delays,
             ticks,
-            fingerprint: crate::checkpoint::netlist_fingerprint(pl),
             now: 0,
             seq: 0,
             events: 0,
@@ -391,17 +372,11 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
 
     /// Queues one vector into a pipelined stream: waits (in simulated time)
     /// only for the environment's input gates to be re-armed, applies the
-    /// vector, and returns **without waiting for any output word** — exactly
-    /// one injection step of [`PlSimulator::run_stream`]. Output words
+    /// vector, and returns **without waiting for any output word** — one
+    /// injection step of [`PlSimulator::run_stream`]. Output words
     /// accumulate in the per-output record queues until the stream's
-    /// completion step collects them — `run_stream`'s, or the same step
-    /// in [`crate::parallel::sweep_resumable`], which feeds the stream one
-    /// window at a time and checkpoints it at every window boundary.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PlSimulator::run_vector`].
-    pub fn feed_vector(&mut self, inputs: &[L]) -> Result<(), SimError> {
+    /// completion step collects them.
+    fn feed_vector(&mut self, inputs: &[L]) -> Result<(), SimError> {
         let ports = self.pl.input_gates();
         if inputs.len() != ports.len() {
             return Err(SimError::InputArityMismatch {
@@ -419,14 +394,12 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
         Ok(())
     }
 
-    /// The stream's completion step, shared by [`PlSimulator::run_vector`],
-    /// [`PlSimulator::run_stream`] and the resumable sweep: runs events
-    /// until every output has recorded the oldest uncollected round, pops
-    /// that round's output word, and counts the round as completed.
-    /// `last` is raised to the word's latest record tick. When
-    /// [`LaneSimulator::ready_words`] is nonzero the word is already
-    /// recorded and no event runs.
-    pub(crate) fn complete_word(&mut self, last: &mut u64) -> Result<Vec<L>, SimError> {
+    /// The stream's completion step, shared by [`PlSimulator::run_vector`]
+    /// and [`PlSimulator::run_stream`]: runs events until every output has
+    /// recorded the oldest uncollected round, pops that round's output
+    /// word, and counts the round as completed. `last` is raised to the
+    /// word's latest record tick.
+    fn complete_word(&mut self, last: &mut u64) -> Result<Vec<L>, SimError> {
         while !self.round_complete() {
             let Some((key, kind)) = self.queue.pop() else {
                 return Err(SimError::Deadlock {
@@ -445,18 +418,6 @@ impl<'a, L: LaneWord> LaneSimulator<'a, L> {
         }
         self.rounds += 1;
         Ok(word)
-    }
-
-    /// Output words already fully recorded and not yet collected — how
-    /// many [`LaneSimulator::complete_word`] calls can run without
-    /// dispatching an event. Records are write-only to the event
-    /// schedule, so collecting them never changes the simulation.
-    pub(crate) fn ready_words(&self) -> usize {
-        self.records
-            .iter()
-            .map(VecDeque::len)
-            .min()
-            .unwrap_or(usize::MAX)
     }
 
     /// Outputs tied to constants have no token traffic; record their value

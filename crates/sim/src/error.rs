@@ -40,22 +40,6 @@ pub enum SimError {
     },
     /// The netlist failed its structural (liveness) pre-check.
     Structural(PlError),
-    /// A [`crate::SimCheckpoint`] was restored into a simulator whose
-    /// netlist shape differs from the one the snapshot was taken from.
-    CheckpointMismatch {
-        /// Gate count of the snapshotted netlist.
-        snapshot_gates: usize,
-        /// Arc count of the snapshotted netlist.
-        snapshot_arcs: usize,
-        /// Output count of the snapshotted netlist.
-        snapshot_outputs: usize,
-        /// Gate count of the restoring simulator's netlist.
-        netlist_gates: usize,
-        /// Arc count of the restoring simulator's netlist.
-        netlist_arcs: usize,
-        /// Output count of the restoring simulator's netlist.
-        netlist_outputs: usize,
-    },
     /// A serialized checkpoint ([`crate::checkpoint::wire`]) ended before
     /// the bytes the decoder needed — the file (or buffer) was truncated.
     CheckpointTruncated {
@@ -80,18 +64,9 @@ pub enum SimError {
         /// The version this build supports.
         supported: u32,
     },
-    /// A serialized checkpoint was written at a different lane width than
-    /// the simulator decoding it (scalar checkpoints restore only into
-    /// scalar simulators, 64-lane into 64-lane).
-    CheckpointLaneMismatch {
-        /// Lane count the encoding was written at.
-        found: u32,
-        /// Lane count of the decoding simulator.
-        expected: u32,
-    },
-    /// A serialized checkpoint's identity digest (netlist fingerprint,
-    /// delay-model digest, or a shape count) disagrees with the netlist /
-    /// delay model it is being decoded against.
+    /// A checkpoint's identity digest (netlist fingerprint, delay-model
+    /// digest, or gate count) disagrees with the netlist / delay model it
+    /// is being decoded against or restored onto.
     CheckpointDigestMismatch {
         /// Which digest disagreed.
         what: &'static str,
@@ -171,23 +146,6 @@ impl fmt::Display for SimError {
                 )
             }
             SimError::Structural(e) => write!(f, "structural check failed: {e}"),
-            SimError::CheckpointMismatch {
-                snapshot_gates,
-                snapshot_arcs,
-                snapshot_outputs,
-                netlist_gates,
-                netlist_arcs,
-                netlist_outputs,
-            } => {
-                write!(
-                    f,
-                    "checkpoint restored onto a structurally different netlist: snapshot \
-                     over a {snapshot_gates}-gate/{snapshot_arcs}-arc/{snapshot_outputs}\
-                     -output netlist, restoring simulator over a {netlist_gates}-gate/\
-                     {netlist_arcs}-arc/{netlist_outputs}-output netlist (equal counts \
-                     mean the arc topologies differ)"
-                )
-            }
             SimError::CheckpointTruncated {
                 context,
                 needed,
@@ -207,13 +165,6 @@ impl fmt::Display for SimError {
                     f,
                     "checkpoint version skew: encoded as format v{found}, this \
                      build supports v{supported}"
-                )
-            }
-            SimError::CheckpointLaneMismatch { found, expected } => {
-                write!(
-                    f,
-                    "checkpoint lane mismatch: encoded at {found} lane(s), \
-                     this simulator runs {expected} lane(s)"
                 )
             }
             SimError::CheckpointDigestMismatch {

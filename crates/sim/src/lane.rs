@@ -39,8 +39,6 @@ pub trait LaneWord: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     const LANES: usize;
     /// Bytes of one word in the checkpoint wire encoding.
     const WIRE_BYTES: usize;
-    /// Bytes of one gate's [`LaneWord::PinVals`] in the wire encoding.
-    const PV_WIRE_BYTES: usize;
 
     /// Per-gate storage for the current input-pin token values. The
     /// scalar word keeps the pre-lane engine's `u8` bitset (one bit per
@@ -90,25 +88,18 @@ pub trait LaneWord: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     ) -> Option<Self>;
 
     /// Appends this word's wire encoding (exactly [`LaneWord::WIRE_BYTES`]
-    /// bytes) — `bool` as one `0/1` byte (the v1 scalar layout), `u64` as
-    /// eight little-endian bytes.
+    /// bytes) — `bool` as one `0/1` byte (the checkpoint's gate values), `u64`
+    /// as eight little-endian bytes.
     fn to_wire(self, out: &mut Vec<u8>);
     /// Decodes one word from exactly [`LaneWord::WIRE_BYTES`] bytes;
     /// `None` if the bytes are outside the word's domain (a non-0/1
     /// boolean).
     fn from_wire(bytes: &[u8]) -> Option<Self>;
-    /// Appends one gate's pin-value wire encoding (exactly
-    /// [`LaneWord::PV_WIRE_BYTES`] bytes).
-    fn pv_to_wire(pv: &Self::PinVals, out: &mut Vec<u8>);
-    /// Decodes one gate's pin values from [`LaneWord::PV_WIRE_BYTES`]
-    /// bytes.
-    fn pv_from_wire(bytes: &[u8]) -> Option<Self::PinVals>;
 }
 
 impl LaneWord for bool {
     const LANES: usize = 1;
     const WIRE_BYTES: usize = 1;
-    const PV_WIRE_BYTES: usize = 1;
 
     type PinVals = u8;
 
@@ -192,22 +183,11 @@ impl LaneWord for bool {
             _ => None,
         }
     }
-
-    #[inline]
-    fn pv_to_wire(pv: &u8, out: &mut Vec<u8>) {
-        out.push(*pv);
-    }
-
-    #[inline]
-    fn pv_from_wire(bytes: &[u8]) -> Option<u8> {
-        Some(bytes[0])
-    }
 }
 
 impl LaneWord for u64 {
     const LANES: usize = 64;
     const WIRE_BYTES: usize = 8;
-    const PV_WIRE_BYTES: usize = 64;
 
     type PinVals = [u64; 8];
 
@@ -303,20 +283,6 @@ impl LaneWord for u64 {
     #[inline]
     fn from_wire(bytes: &[u8]) -> Option<u64> {
         Some(u64::from_le_bytes(bytes.try_into().ok()?))
-    }
-
-    fn pv_to_wire(pv: &[u64; 8], out: &mut Vec<u8>) {
-        for w in pv {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    fn pv_from_wire(bytes: &[u8]) -> Option<[u64; 8]> {
-        let mut pv = [0u64; 8];
-        for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-            pv[i] = u64::from_le_bytes(chunk.try_into().ok()?);
-        }
-        Some(pv)
     }
 }
 
@@ -484,11 +450,6 @@ mod tests {
             assert_eq!(buf.len(), <u64 as LaneWord>::WIRE_BYTES);
             assert_eq!(<u64 as LaneWord>::from_wire(&buf), Some(w));
         }
-        let pv = [1u64, 2, 3, 4, 5, 6, 7, 8];
-        let mut buf = Vec::new();
-        <u64 as LaneWord>::pv_to_wire(&pv, &mut buf);
-        assert_eq!(buf.len(), <u64 as LaneWord>::PV_WIRE_BYTES);
-        assert_eq!(<u64 as LaneWord>::pv_from_wire(&buf), Some(pv));
     }
 
     #[test]

@@ -40,30 +40,30 @@
 //!   deliveries dispatch as a single batched queue event. See
 //!   [`reference`] for the retained pre-refactor engine that pins these
 //!   semantics differentially (`tests/engine_equivalence.rs`) and anchors
-//!   the speedup numbers in `BENCH_sim.json`. The event engine runs the
-//!   checkpointed (resumable) and traced (VCD) runs, whose state is its
-//!   event queue, and with [`crate::reference`] it is the differential
-//!   oracle for [`LatencySchedule`].
+//!   the speedup numbers in `BENCH_sim.json`. In production the event
+//!   engine runs only traced (VCD) runs; with [`crate::reference`] it is
+//!   the differential oracle for [`LatencySchedule`].
 //! * The streamed protocol is one sequential run per stream: vectors are
 //!   fed without waiting for output words, which measures sustained
-//!   throughput. Without a checkpoint it runs on
-//!   [`LatencySchedule::run_stream`]. [`sweep_resumable`] is the event
-//!   engine's [`PlSimulator::run_stream`] made crash-resumable: it feeds
-//!   the stream one window at a time, journals every completed window,
-//!   and writes a checkpoint ([`checkpoint::wire`]) at each window
-//!   boundary, so a killed run resumes from the newest one —
-//!   bit-identical to `run_stream`.
+//!   throughput. It runs on [`LatencySchedule::run_stream`], the stream
+//!   cursor ([`LatencySchedule::start_stream`], [`LatencySchedule::feed`],
+//!   [`LatencySchedule::finish`]) run once over every vector.
+//!   [`sweep_resumable`] feeds the same cursor one window at a time,
+//!   journals every completed window, and writes a checkpoint
+//!   ([`checkpoint::wire`]) at each window boundary, so a killed run
+//!   resumes from the newest one — bit-identical to `run_stream`.
 //! * [`parallel`] scatter/gathers independent work across worker threads
 //!   — independent streams ([`sweep_streams`]), reset-per-shard single
 //!   streams ([`sweep_sharded`]), or any item list
 //!   ([`scatter_gather`], which the flow uses to run its plain and EE
 //!   variants concurrently). Outcomes merge deterministically in item
 //!   order (bit-identical to the sequential run for any worker count).
-//! * [`SimCheckpoint`] captures a simulator's complete dynamic state
-//!   between vectors ([`PlSimulator::snapshot`]); a simulator resumed from
-//!   it ([`PlSimulator::resume_from`] / [`PlSimulator::restore`]) is
-//!   bit-identical to the uninterrupted run — the restart point behind
-//!   the resumable sweep.
+//! * [`SimCheckpoint`] captures a stream between two feeds
+//!   ([`LatencySchedule::snapshot`]): per-gate firing ticks and output
+//!   values, per-master `Produce` ticks and the cursor, with no queue and
+//!   nothing in flight. A stream restored from it
+//!   ([`LatencySchedule::restore`]) finishes exactly as the unsplit run —
+//!   the restart point behind the resumable sweep.
 //! * [`SyncSimulator`] is the cycle-accurate synchronous reference; the
 //!   [`verify_equivalence`] helper proves that PL mapping and early
 //!   evaluation change *timing only*, never values.
@@ -124,7 +124,7 @@ mod stats;
 mod sync;
 pub mod trace;
 
-pub use checkpoint::{Fnv64, SimCheckpoint};
+pub use checkpoint::SimCheckpoint;
 pub use delay::{ns_to_ticks, ticks_to_ns, DelayModel, TickDelays, TICKS_PER_NS};
 pub use engine::{BatchSimulator, LaneSimulator, PlSimulator, StreamOutcome, VectorOutcome};
 pub use error::SimError;
@@ -133,6 +133,7 @@ pub use parallel::{
     scatter_gather, sweep_resumable, sweep_resumable_with_faults, sweep_sharded, sweep_streams,
     sweep_streams_batch, FaultPlan, ResumableOptions, ResumableOutcome, SweepRecovery,
 };
+pub use pl_netlist::Fnv64;
 pub use queue::EventQueue;
 pub use reference::ReferenceSimulator;
 pub use schedule::LatencySchedule;

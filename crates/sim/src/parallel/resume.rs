@@ -1,18 +1,17 @@
-//! Crash-resumable streamed runs: the sequential
-//! [`PlSimulator::run_stream`] fed one window at a time, with a
-//! checkpoint at every window boundary and a journal of completed windows
-//! — pinned bit-identical to an uninterrupted `run_stream`.
+//! Crash-resumable streamed runs: the static schedule's stream cursor
+//! ([`LatencySchedule::feed`]) fed one window at a time, with a checkpoint
+//! at every window boundary and a journal of completed windows — pinned
+//! bit-identical to an uninterrupted [`LatencySchedule::run_stream`].
 //!
 //! # The run
 //!
-//! [`sweep_resumable`] feeds the stream window by window through
-//! [`PlSimulator::feed_vector`]. At each window boundary it collects every
-//! fed window whose output words are already complete in the record
-//! queues. Collecting never runs an event, and records are write-only to
-//! the event schedule, so it cannot change the run. Each collected window
-//! is appended to the journal, and only then is the boundary checkpoint
-//! written. After the last window the run drains through the same
-//! completion step as `run_stream`.
+//! [`sweep_resumable`] feeds the stream window by window. A feed returns
+//! the window's output words at once: the schedule leaves nothing in
+//! flight between rounds. A window is appended to the journal only if
+//! every word so far completed and no error is pending, so a complete
+//! journal means the run succeeded. Then the boundary checkpoint is
+//! written. After the last window the cursor's [`LatencySchedule::finish`]
+//! gives the result, exactly as `run_stream`'s.
 //!
 //! # On-disk layout
 //!
@@ -21,13 +20,15 @@
 //! | file | contents |
 //! |------|----------|
 //! | `sweep.meta` | run identity: magic `PLSWMETA`, format version, netlist fingerprint, delay-model digest, vector-stream digest, window size, vector count, trailing CRC32 |
-//! | `journal.bin` | append-only completed-window log, in window order; each entry is `len:u32 \| payload \| crc32(payload):u32` with payload `window:u64, last_tick:u64, n_words:u64, width:u64, words as 0/1 bytes` |
-//! | `window-{k:08}.ck` | the [`crate::SimCheckpoint`] wire encoding ([`crate::checkpoint::wire`]) of the run after feeding windows `0..k`, for `k >= 1` (boundary 0 is the fresh simulator — no file needed); its [`SimCheckpoint::rounds`] is the number of words already in the journal |
+//! | `journal.bin` | append-only completed-window log, in window order; each entry is `len:u32 \| payload \| crc32(payload):u32` with payload `window:u64, last_tick:u64, n_words:u64, width:u64, words as 0/1 bytes`, where `last_tick` is the latest output tick of the stream so far |
+//! | `window-{k:08}.ck` | the [`crate::SimCheckpoint`] wire encoding ([`crate::checkpoint::wire`], version 3) of the run after feeding windows `0..k`, for `k >= 1` (boundary 0 is the fresh stream — no file needed); its [`SimCheckpoint::rounds`] is the number of vectors fed |
 //!
-//! Every file is written atomically (write `*.tmp`, `sync_all`, rename),
-//! so a kill can leave at worst a stale `*.tmp` (ignored) or a torn
-//! journal *tail* (detected by the per-entry CRC and truncated away on
-//! recovery — completed entries before it survive).
+//! Every file is written atomically (write `*.tmp`, `sync_all`, rename,
+//! then `sync_all` on the directory so the rename itself survives an OS
+//! crash), and the directory is synced after the journal is created, so
+//! a kill can leave at worst a stale `*.tmp` (ignored) or a torn journal
+//! *tail* (detected by the per-entry CRC and truncated away on recovery —
+//! completed entries before it survive).
 //!
 //! # Recovery
 //!
@@ -35,23 +36,19 @@
 //! typed fatal [`SimError`] — a directory whose identity cannot be
 //! trusted is not resumed), rejects parameter drift with
 //! [`SimError::ResumeMismatch`], and reads the journal as an in-order
-//! prefix of windows `0..F`. It then restores the newest decodable
-//! checkpoint whose `rounds()` is at most `F * window` (a newer one whose
-//! journal entries were lost with a torn tail is skipped), or starts from
-//! boundary 0 if there is none. Windows the journal already holds are
-//! re-collected but not re-appended. A corrupt or unreadable
-//! `window-k.ck` is recorded in [`SweepRecovery::corrupt_files`] and
-//! routed around, never trusted: the wire format's digests and CRCs
-//! decide, so resumption is correct even if every checkpoint file was
-//! byte-flipped.
+//! prefix of windows `0..F`. If it holds every window the run is done.
+//! Otherwise it restores the newest decodable checkpoint whose `rounds()`
+//! is at most `F * window` (a newer one whose journal entries were lost
+//! with a torn tail is skipped), or starts from boundary 0 if there is
+//! none. Windows the journal already holds are fed again but not
+//! re-appended. A corrupt or unreadable `window-k.ck` — a version-1 or
+//! version-2 file from the event engine included — is recorded in
+//! [`SweepRecovery::corrupt_files`] and routed around, never trusted:
+//! the wire format's digests and CRCs decide, so resumption is correct
+//! even if every checkpoint file was byte-flipped.
 //!
-//! Memory note: a checkpoint holds only the output words not yet in the
-//! journal — the windows still in flight at that boundary, not every word
-//! recorded so far — so run memory and each `window-k.ck` stay bounded
-//! by the pipeline depth, however long the stream. (An output with no
-//! primary input in its cone, such as a free-running counter, can record
-//! rounds ahead of the fed vectors; those records stay queued like in
-//! `run_stream`.)
+//! Every `window-k.ck` has the same size: the schedule's state between
+//! rounds depends on the netlist, not on how far the stream has run.
 
 use std::fmt;
 use std::fs;
@@ -60,12 +57,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use pl_core::PlNetlist;
+use pl_netlist::Fnv64;
 
 use crate::checkpoint::wire::{crc32, delay_digest, Reader};
-use crate::checkpoint::{netlist_fingerprint, Fnv64, SimCheckpoint};
+use crate::checkpoint::{netlist_fingerprint, SimCheckpoint};
 use crate::delay::{ticks_to_ns, DelayModel};
-use crate::engine::{PlSimulator, StreamOutcome};
+use crate::engine::StreamOutcome;
 use crate::error::SimError;
+use crate::schedule::LatencySchedule;
 
 /// Magic bytes opening `sweep.meta` (distinct from the checkpoint
 /// magic, so the two file kinds can never be confused).
@@ -124,7 +123,7 @@ impl fmt::Display for SweepRecovery {
 }
 
 /// A completed [`sweep_resumable`] run: the stream outcome (bit-identical
-/// to [`PlSimulator::run_stream`]) plus its recovery audit trail.
+/// to [`LatencySchedule::run_stream`]) plus its recovery audit trail.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResumableOutcome {
     /// Outputs, makespan, and throughput of the full stream.
@@ -189,7 +188,8 @@ fn io_err(path: &Path, e: &std::io::Error) -> SimError {
     }
 }
 
-/// Durable write: `*.tmp`, `sync_all`, rename over the target. A kill at
+/// Durable write: `*.tmp`, `sync_all`, rename over the target, then sync
+/// the directory so the rename is on disk too. A kill or an OS crash at
 /// any point leaves either the old file or the complete new one.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SimError> {
     let tmp = path.with_extension("tmp");
@@ -199,7 +199,20 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SimError> {
         f.sync_all()
     };
     write(&tmp).map_err(|e| io_err(&tmp, &e))?;
-    fs::rename(&tmp, path).map_err(|e| io_err(path, &e))
+    fs::rename(&tmp, path).map_err(|e| io_err(path, &e))?;
+    sync_parent(path)
+}
+
+/// Syncs the directory holding `path`, making a rename or a file
+/// creation in it durable.
+fn sync_parent(path: &Path) -> Result<(), SimError> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err(dir, &e))
 }
 
 fn ck_path(dir: &Path, boundary: usize) -> PathBuf {
@@ -446,6 +459,7 @@ impl Journal {
             .append(true)
             .open(&path)
             .map_err(|e| io_err(&path, &e))?;
+        sync_parent(&path)?;
         Ok(Self { file, path })
     }
 
@@ -465,12 +479,13 @@ impl Journal {
     }
 }
 
-/// Restores into `sim` the newest decodable checkpoint whose `rounds()`
-/// is at most `max_rounds` and returns its boundary, or 0 (the fresh
-/// simulator) if there is none. Unreadable or corrupt files are recorded
-/// in `corrupt` and skipped.
+/// Restores into `schedule` the newest decodable checkpoint whose
+/// `rounds()` is at most `max_rounds` and returns its boundary, or 0 (the
+/// fresh stream) if there is none. Unreadable or corrupt files are
+/// recorded in `corrupt` and skipped.
 fn restore_newest(
-    sim: &mut PlSimulator<'_>,
+    schedule: &mut LatencySchedule<'_>,
+    pl: &PlNetlist,
     dir: &Path,
     delays: &DelayModel,
     n_windows: usize,
@@ -487,13 +502,13 @@ fn restore_newest(
                 continue;
             }
         };
-        match SimCheckpoint::from_bytes(&bytes, sim.pl, delays) {
+        match SimCheckpoint::from_bytes(&bytes, pl, delays) {
             Ok(ck) if ck.rounds() <= max_rounds => {
-                sim.restore(&ck)?;
+                schedule.restore(&ck)?;
                 return Ok(k);
             }
             // Newer than the journal: its windows were lost with a torn
-            // journal tail, so an older boundary must re-collect them.
+            // journal tail, so an older boundary must feed them again.
             Ok(_) => {}
             Err(e) => corrupt.push(format!("{}: {e}", path.display())),
         }
@@ -501,38 +516,10 @@ fn restore_newest(
     Ok(0)
 }
 
-/// Collects window `k` — `len` output words — through the stream's
-/// completion step and appends it to the journal, unless the journal
-/// already holds it (a resumed run re-collects the windows between its
-/// restart checkpoint and the end of the journal).
-fn collect_window(
-    sim: &mut PlSimulator<'_>,
-    k: usize,
-    len: usize,
-    done: &mut Vec<JournalEntry>,
-    journal: &mut Journal,
-    faults: &FaultPlan,
-) -> Result<(), SimError> {
-    let mut last_tick = 0;
-    let words = (0..len)
-        .map(|_| sim.complete_word(&mut last_tick))
-        .collect::<Result<Vec<_>, _>>()?;
-    if let Some(entry) = done.get(k) {
-        debug_assert!(
-            entry.last_tick == last_tick && entry.words == words,
-            "window {k} re-collected differently from its journal entry"
-        );
-        return Ok(());
-    }
-    journal.append(faults, k, last_tick, &words)?;
-    done.push(JournalEntry { last_tick, words });
-    Ok(())
-}
-
 /// Runs one long vector stream as a crash-resumable streamed run (see
 /// the [module docs](self) for the run, the on-disk layout and the
 /// recovery rules). The returned outputs, makespan, and throughput are
-/// **bit-identical to [`PlSimulator::run_stream`]** for every window
+/// **bit-identical to [`LatencySchedule::run_stream`]** for every window
 /// size, across kills, resumes and corrupt checkpoint files.
 ///
 /// # Errors
@@ -546,7 +533,7 @@ fn collect_window(
 /// * [`SimError::ResumeMismatch`] — a resume under a different netlist,
 ///   delay model, vector stream, or window size.
 /// * Any simulation error ([`SimError::Deadlock`], ...) that
-///   [`PlSimulator::run_stream`] would also report.
+///   [`LatencySchedule::run_stream`] would also report.
 ///
 /// # Panics
 ///
@@ -598,8 +585,7 @@ pub fn sweep_resumable_with_faults(
         ..SweepRecovery::default()
     };
 
-    // Completed windows, in order: the journal's prefix on resume, then
-    // every window this run collects.
+    // Completed windows, in order: the journal's prefix on resume.
     let mut done: Vec<JournalEntry> = Vec::with_capacity(n_windows);
 
     if opts.resume {
@@ -647,69 +633,60 @@ pub fn sweep_resumable_with_faults(
         write_atomic(&meta_path, &encode_meta(&meta))?;
     }
 
-    if done.len() < n_windows {
-        let mut sim = PlSimulator::new(pl, delays.clone())?;
-        let restart = restore_newest(
-            &mut sim,
-            dir,
-            delays,
-            n_windows,
-            (done.len() * window) as u64,
-            &mut recovery.corrupt_files,
-        )?;
-        recovery.restart_window = restart;
-
-        let chunks: Vec<&[Vec<bool>]> = vectors.chunks(window).collect();
-        let mut journal = Journal::open_append(dir.join("journal.bin"))?;
-        // Every collected window is whole: only the last may be short,
-        // and it is collected after the last checkpoint.
-        let mut collected = sim.rounds() as usize / window;
-        for (k, chunk) in chunks.iter().enumerate().skip(restart) {
-            for v in *chunk {
-                sim.feed_vector(v)?;
-            }
-            // Collect every fed window already recorded in full; no
-            // event runs, so the schedule is exactly `run_stream`'s.
-            while collected <= k && sim.ready_words() >= chunks[collected].len() {
-                collect_window(
-                    &mut sim,
-                    collected,
-                    chunks[collected].len(),
-                    &mut done,
-                    &mut journal,
-                    faults,
-                )?;
-                collected += 1;
-            }
-            if k + 1 < n_windows {
-                write_atomic(&ck_path(dir, k + 1), &sim.snapshot().to_bytes(delays))?;
-            }
-        }
-        // Drain the windows still in flight, exactly as `run_stream` does.
-        for (k, chunk) in chunks.iter().enumerate().skip(collected) {
-            collect_window(&mut sim, k, chunk.len(), &mut done, &mut journal, faults)?;
-        }
-    } else {
+    if done.len() == n_windows {
+        // Only clean windows are journaled, so a complete journal is a
+        // successful run.
         recovery.restart_window = n_windows;
+        let last = done.iter().fold(0, |m, e| m.max(e.last_tick));
+        let makespan = ticks_to_ns(last);
+        let outputs = done.into_iter().flat_map(|e| e.words).collect();
+        return Ok(ResumableOutcome {
+            outcome: StreamOutcome {
+                outputs,
+                makespan,
+                throughput: if makespan > 0.0 {
+                    vectors.len() as f64 / makespan
+                } else {
+                    f64::INFINITY
+                },
+            },
+            recovery,
+        });
     }
 
-    let mut outputs = Vec::with_capacity(vectors.len());
-    let mut last = 0u64;
-    for entry in done {
-        outputs.extend(entry.words);
-        last = last.max(entry.last_tick);
+    let mut schedule = LatencySchedule::<bool>::new(pl, delays.clone())?;
+    schedule.start_stream();
+    let restart = restore_newest(
+        &mut schedule,
+        pl,
+        dir,
+        delays,
+        n_windows,
+        (done.len() * window) as u64,
+        &mut recovery.corrupt_files,
+    )?;
+    recovery.restart_window = restart;
+    let mut journal = Journal::open_append(dir.join("journal.bin"))?;
+    // Journaled windows past the restart boundary are fed again.
+    let again = done.split_off(restart);
+    let mut outputs: Vec<Vec<bool>> = done.into_iter().flat_map(|e| e.words).collect();
+    for (k, chunk) in vectors.chunks(window).enumerate().skip(restart) {
+        let words = schedule.feed(chunk)?;
+        if let Some(entry) = again.get(k - restart) {
+            debug_assert!(
+                entry.words == words,
+                "window {k} fed again differently from its journal entry"
+            );
+        } else if schedule.cursor().is_clean() {
+            journal.append(faults, k, schedule.cursor().last, &words)?;
+        }
+        outputs.extend(words);
+        if k + 1 < n_windows {
+            write_atomic(&ck_path(dir, k + 1), &schedule.snapshot().to_bytes(delays))?;
+        }
     }
-    let makespan = ticks_to_ns(last);
     Ok(ResumableOutcome {
-        outcome: StreamOutcome {
-            outputs,
-            makespan,
-            throughput: if makespan > 0.0 {
-                vectors.len() as f64 / makespan
-            } else {
-                f64::INFINITY
-            },
-        },
+        outcome: schedule.finish(outputs)?,
         recovery,
     })
 }
@@ -717,6 +694,7 @@ pub fn sweep_resumable_with_faults(
 #[cfg(test)]
 pub(super) mod tests {
     use super::*;
+    use crate::engine::PlSimulator;
     use pl_netlist::Netlist;
 
     /// An input-paced XOR output, a free-running DFF counter output (it
@@ -757,6 +735,8 @@ pub(super) mod tests {
             .collect()
     }
 
+    /// The event engine's uninterrupted stream: every sweep is checked
+    /// against the other engine.
     fn baseline(pl: &PlNetlist, vecs: &[Vec<bool>]) -> StreamOutcome {
         PlSimulator::new(pl, DelayModel::default())
             .unwrap()

@@ -103,25 +103,6 @@ impl<T> EventQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Drops every pending event. Used by checkpoint restore before
-    /// re-inserting the captured events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
-impl<T: Clone> EventQueue<T> {
-    /// Every pending event in canonical ascending-key order, without
-    /// disturbing the queue — the serialization a checkpoint stores (the
-    /// heap's internal layout is not canonical; this is).
-    #[must_use]
-    pub fn sorted_events(&self) -> Vec<(u128, T)> {
-        let mut events: Vec<(u128, T)> =
-            self.heap.iter().map(|e| (e.key, e.item.clone())).collect();
-        events.sort_unstable_by_key(|(k, _)| *k);
-        events
-    }
 }
 
 #[cfg(test)]
@@ -329,45 +310,6 @@ mod tests {
         let mut rng = Lcg(0x0F10);
         let ticks: Vec<u64> = (0..2000).map(|_| 1 << 30 | rng.below(4096)).collect();
         assert_pops_match_oracle(&ticks, 0, "narrow dense band");
-    }
-
-    #[test]
-    fn sorted_events_is_canonical_and_nondestructive() {
-        let ticks = [5u64, 1, 1, 9, 3, 3, 3, 7];
-        let mut q = EventQueue::<u64>::new();
-        for (seq, &t) in ticks.iter().enumerate() {
-            q.push(key(t, seq as u64), seq as u64);
-        }
-        let snap = q.sorted_events();
-        assert_eq!(snap.len(), q.len());
-        assert!(snap.windows(2).all(|w| w[0].0 < w[1].0), "not sorted");
-        // The snapshot is a pure read: popping still yields the same
-        // ascending stream.
-        let mut popped = Vec::new();
-        while let Some(e) = q.pop() {
-            popped.push(e);
-        }
-        assert_eq!(popped, snap, "snapshot diverged from pops");
-    }
-
-    #[test]
-    fn clear_resets_consumption_state() {
-        let mut q = EventQueue::<u64>::new();
-        for seq in 0..100u64 {
-            q.push(key(seq * 1_000_000, seq), seq);
-        }
-        for _ in 0..50 {
-            q.pop();
-        }
-        q.clear();
-        assert!(q.is_empty());
-        // Events far behind the pre-clear consumption front are served
-        // first again.
-        q.push(key(3, 0), 0);
-        q.push(key(1, 1), 1);
-        assert_eq!(q.pop(), Some((key(1, 1), 1)));
-        assert_eq!(q.pop(), Some((key(3, 0), 0)));
-        assert_eq!(q.pop(), None);
     }
 
     #[test]

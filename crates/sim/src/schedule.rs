@@ -43,10 +43,20 @@
 //!
 //! [`LatencySchedule::run_stream`] follows
 //! [`LaneSimulator::run_stream`](crate::LaneSimulator::run_stream): each
-//! `feed_vector` drains only the previous vector's pending inputs, so the
-//! next round starts at `start_{k+1} = max(start_k, input ticks of round
-//! k)` instead of after the output word. The makespan is the latest
-//! output tick minus the first start (0).
+//! feed drains only the previous vector's pending inputs, so the next
+//! round starts at `start_{k+1} = max(start_k, input ticks of round k)`
+//! instead of after the output word. The makespan is the latest output
+//! tick minus the first start (0).
+//!
+//! `run_stream` is a cursor run once over every vector:
+//! [`LatencySchedule::start_stream`], [`LatencySchedule::feed`] (any
+//! number of times, returning each vector's word at once) and
+//! [`LatencySchedule::finish`]. Between two feeds nothing is in flight:
+//! the state is the per-gate and per-master ticks above, the marked arcs'
+//! tokens and the cursor's scalars, which [`LatencySchedule::snapshot`]
+//! captures in a [`SimCheckpoint`] of fixed size and
+//! [`LatencySchedule::restore`] rebuilds. Every rule runs per vector, so a
+//! stream split at any vector returns exactly the unsplit `Result`.
 //!
 //! # Lanes
 //!
@@ -90,9 +100,10 @@
 //!   at or before the run's **horizon**, the last tick the engine reaches.
 //!   Per vector that is the last completion tick. Streamed, it is the
 //!   later of the last word's completion and the drain point of the last
-//!   `feed_vector` (round `n − 2`'s input ticks); a malformed vector `k`
-//!   is rejected as it is fed, so the horizon is then the drain point of
-//!   feed `k − 1`.
+//!   feed (round `n − 2`'s input ticks); a malformed vector `k` is
+//!   rejected as it is fed, so the horizon is then the drain point of
+//!   feed `k − 1`. A feed returns a noted error as soon as it falls at or
+//!   before the feed's drain point, where the engine's feed stops on it.
 //! * [`SimError::Deadlock`] and structural errors stay typed, a deadlock
 //!   in the engine's two forms: `<pending input never consumed>` when a
 //!   feed cannot drain the previous vector's inputs, else the names of
@@ -103,6 +114,7 @@
 use pl_core::adjacency::{GateClass, NO_ARC};
 use pl_core::{PlAdjacency, PlArcId, PlArcKind, PlError, PlGateId, PlNetlist};
 
+use crate::checkpoint::{netlist_fingerprint, MasterState, SimCheckpoint};
 use crate::delay::{ticks_to_ns, DelayModel, TickDelays};
 use crate::engine::{StreamOutcome, VectorOutcome};
 use crate::error::SimError;
@@ -184,7 +196,7 @@ pub struct LatencySchedule<'a, L: LaneWord = bool> {
 }
 
 /// The dynamic state of a run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct State<L: LaneWord> {
     /// Per-slot (and per-buffer) token arrival tick and value.
     tick: Vec<u64>,
@@ -204,6 +216,36 @@ struct State<L: LaneWord> {
     /// Deliveries that landed before (`true`) or on the tick of (`false`)
     /// the previous token's consumption, with the slot and tick.
     suspects: Vec<(u32, u64, bool)>,
+    cursor: Cursor,
+}
+
+/// The scalars a streamed run carries from one vector to the next (see
+/// [`LatencySchedule::feed`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Cursor {
+    /// Vectors fed since the stream started.
+    pub(crate) fed: u64,
+    /// Start tick of the next round: the tick by which every input of the
+    /// last fed vector fired (`NEVER` if one never does).
+    pub(crate) start: u64,
+    /// How far the event engine has run: the drain point of the latest
+    /// feed (`None` before the second feed, or without inputs).
+    pub(crate) drained_to: Option<u64>,
+    /// Completion tick of the last fed vector's word.
+    pub(crate) completed_last: Option<u64>,
+    /// Latest output tick so far.
+    pub(crate) last: u64,
+    /// The output slots missing from the first word that never completes.
+    pub(crate) missing: Option<Vec<u32>>,
+    /// The earliest error noted so far, with its tick.
+    pub(crate) first: Option<(u64, SimError)>,
+}
+
+impl Cursor {
+    /// No error is pending and every word so far completed.
+    pub(crate) fn is_clean(&self) -> bool {
+        self.first.is_none() && self.missing.is_none()
+    }
 }
 
 impl<'a, L: LaneWord> LatencySchedule<'a, L> {
@@ -416,6 +458,7 @@ impl<'a, L: LaneWord> LatencySchedule<'a, L> {
                 produced: vec![0; n_gates],
                 latest: 0,
                 suspects: Vec::new(),
+                cursor: Cursor::default(),
             },
             tie_memo: vec![0; n_arcs],
             causal: None,
@@ -470,7 +513,10 @@ impl<'a, L: LaneWord> LatencySchedule<'a, L> {
             }
             let (outputs, completed, inputs_done) = self.round(v, start, &mut first);
             if completed == NEVER {
-                stop = Some((self.deadlock(self.missing(&outputs)), true));
+                stop = Some((
+                    self.deadlock(self.output_names(&missing_slots(&outputs))),
+                    true,
+                ));
                 break;
             }
             outcomes.push(VectorOutcome {
@@ -500,6 +546,9 @@ impl<'a, L: LaneWord> LatencySchedule<'a, L> {
     /// previous one's inputs are consumed, without waiting for output
     /// words. Returns the same output words and the same makespan and
     /// throughput bits (see the [module docs](self#the-streamed-protocol)).
+    /// This is the stream cursor run once over every vector:
+    /// [`LatencySchedule::start_stream`], [`LatencySchedule::feed`],
+    /// [`LatencySchedule::finish`].
     ///
     /// # Errors
     ///
@@ -508,72 +557,118 @@ impl<'a, L: LaneWord> LatencySchedule<'a, L> {
     /// reports them: the first error by tick at or before the run's
     /// horizon, and a deadlock in either of the engine's two forms.
     pub fn run_stream(&mut self, vectors: &[Vec<L>]) -> Result<StreamOutcome<L>, SimError> {
+        self.start_stream();
+        let outputs = self.feed(vectors)?;
+        self.finish(outputs)
+    }
+
+    /// Starts a streamed run from the initial marking. Feed it with
+    /// [`LatencySchedule::feed`] and end it with
+    /// [`LatencySchedule::finish`]; between two feeds its whole state is
+    /// what [`LatencySchedule::snapshot`] captures.
+    pub fn start_stream(&mut self) {
         self.reset();
+    }
+
+    /// Feeds `vectors` into the stream started by
+    /// [`LatencySchedule::start_stream`] and returns their output words.
+    /// Splitting a stream into several feeds, at any vectors, changes
+    /// nothing: every rule runs per vector.
+    ///
+    /// # Errors
+    ///
+    /// The stream's error at the vector where the event engine's feed
+    /// would stop: a malformed vector, inputs that are never consumed, or
+    /// a noted error at or before the drain point. The stream is over
+    /// after an error.
+    pub fn feed(&mut self, vectors: &[Vec<L>]) -> Result<Vec<Vec<L>>, SimError> {
         let has_inputs = !self.pl.input_gates().is_empty();
-        let mut first: Option<(u64, SimError)> = None;
-        let mut outputs = Vec::with_capacity(vectors.len());
-        let mut start = 0u64;
-        // How far the event engine has run: the drain point of the latest
-        // `feed_vector`, and after the last feed the last word's completion.
-        let (mut drained_to, mut completed_last) = (None, None);
-        let mut last = 0u64;
-        // The first word that never completes, by its missing outputs.
-        let mut missing: Option<Vec<String>> = None;
-        // As in `run_prefix`: the stopping error, and whether every finite
-        // event was drained before it.
-        let mut stop: Option<(SimError, bool)> = None;
-        for (k, v) in vectors.iter().enumerate() {
+        let mut words = Vec::with_capacity(vectors.len());
+        for v in vectors {
             if let Err(e) = self.check_arity(v) {
-                stop = Some((e, false));
-                break;
+                return Err(self.stop(e, false));
             }
-            if k > 0 {
-                // Feeding vector k drains round k − 1's inputs.
-                if start == NEVER {
-                    stop = Some((self.deadlock(vec![PENDING_INPUT.into()]), true));
-                    break;
+            let c = &mut self.state.cursor;
+            if c.fed > 0 {
+                // Feeding a vector drains the previous one's inputs.
+                if c.start == NEVER {
+                    let e = self.deadlock(vec![PENDING_INPUT.into()]);
+                    return Err(self.stop(e, true));
                 }
                 if has_inputs {
-                    drained_to = Some(start);
+                    c.drained_to = Some(c.start);
+                }
+                // The engine's feed stops on an error it drains past.
+                if let Some((t, e)) = &c.first {
+                    if c.drained_to.is_some_and(|h| *t <= h) {
+                        return Err(e.clone());
+                    }
                 }
             }
-            let (word, completed, inputs_done) = self.round(v, start, &mut first);
-            if completed == NEVER {
-                missing.get_or_insert_with(|| self.missing(&word));
+            let mut first = self.state.cursor.first.take();
+            let (word, completed, inputs_done) = self.round(v, self.state.cursor.start, &mut first);
+            let missing = (completed == NEVER).then(|| missing_slots(&word));
+            let c = &mut self.state.cursor;
+            c.first = first;
+            if c.missing.is_none() {
+                c.missing = missing;
             }
-            completed_last = Some(completed);
-            last = word.iter().fold(last, |m, &(t, _)| m.max(t));
-            outputs.push(word.into_iter().map(|(_, v)| v).collect());
-            start = inputs_done;
+            c.completed_last = Some(completed);
+            c.last = word.iter().fold(c.last, |m, &(t, _)| m.max(t));
+            c.start = inputs_done;
+            c.fed += 1;
+            words.push(word.into_iter().map(|(_, v)| v).collect());
         }
-        // The last completion is at or after every drain point.
-        let horizon = if stop.is_some() {
-            drained_to
-        } else {
-            completed_last
-        };
-        if stop.is_none() {
-            stop = missing.map(|m| (self.deadlock(m), true));
-        }
-        if let Some((t, e)) = first {
-            let drained = matches!(stop, Some((_, true)));
-            if drained || horizon.is_some_and(|h| t <= h) {
-                return Err(e);
+        Ok(words)
+    }
+
+    /// Ends the stream: `outputs` are the words [`LatencySchedule::feed`]
+    /// returned, in order.
+    ///
+    /// # Errors
+    ///
+    /// The earliest noted error if the engine meets it — a word never
+    /// completes (a deadlock drains every finite event first), or the
+    /// error falls at or before the last word's completion — else the
+    /// deadlock of the first word that never completed.
+    pub fn finish(&self, outputs: Vec<Vec<L>>) -> Result<StreamOutcome<L>, SimError> {
+        let c = &self.state.cursor;
+        // The last completion is at or after every drain point; a
+        // deadlock drains every finite event first.
+        if let Some((t, e)) = &c.first {
+            if c.missing.is_some() || c.completed_last.is_some_and(|h| *t <= h) {
+                return Err(e.clone());
             }
         }
-        if let Some((e, _)) = stop {
-            return Err(e);
+        if let Some(slots) = &c.missing {
+            return Err(self.deadlock(self.output_names(slots)));
         }
-        let makespan = ticks_to_ns(last);
+        let makespan = ticks_to_ns(c.last);
         Ok(StreamOutcome {
             outputs,
             makespan,
             throughput: if makespan > 0.0 {
-                vectors.len() as f64 / makespan
+                c.fed as f64 / makespan
             } else {
                 f64::INFINITY
             },
         })
+    }
+
+    /// The stream's scalars between feeds.
+    pub(crate) fn cursor(&self) -> &Cursor {
+        &self.state.cursor
+    }
+
+    /// The error a stream stopping at a feed reports: the earliest noted
+    /// one if the engine would have met it — every finite event drained
+    /// (`drained`), or it falls at or before the drain point — else `e`.
+    fn stop(&self, e: SimError, drained: bool) -> SimError {
+        let c = &self.state.cursor;
+        match &c.first {
+            Some((t, first)) if drained || c.drained_to.is_some_and(|h| *t <= h) => first.clone(),
+            _ => e,
+        }
     }
 
     fn check_arity(&self, v: &[L]) -> Result<(), SimError> {
@@ -588,14 +683,12 @@ impl<'a, L: LaneWord> LatencySchedule<'a, L> {
         }
     }
 
-    /// The names of the outputs that never fire in a round.
-    fn missing(&self, word: &[(u64, L)]) -> Vec<String> {
-        self.pl
-            .output_gates()
+    /// The names of the outputs in `slots`.
+    fn output_names(&self, slots: &[u32]) -> Vec<String> {
+        let outputs = self.pl.output_gates();
+        slots
             .iter()
-            .zip(word)
-            .filter(|(_, &(t, _))| t == NEVER)
-            .map(|((name, _), _)| name.clone())
+            .map(|&s| outputs[s as usize].0.clone())
             .collect()
     }
 
@@ -613,6 +706,7 @@ impl<'a, L: LaneWord> LatencySchedule<'a, L> {
         st.last.fill(0);
         st.produced.fill(0);
         st.latest = 0;
+        st.cursor = Cursor::default();
     }
 
     /// One levelized pass: the round with `inputs` applied at `start`.
@@ -773,6 +867,109 @@ impl<'a, L: LaneWord> LatencySchedule<'a, L> {
     }
 }
 
+impl LatencySchedule<'_, bool> {
+    /// Captures the streamed run between two feeds (see
+    /// [`crate::checkpoint`]). The run itself is untouched.
+    #[must_use]
+    pub fn snapshot(&self) -> SimCheckpoint {
+        let st = &self.state;
+        let mut values = vec![false; st.last.len()];
+        let mut masters = Vec::new();
+        for step in &self.steps {
+            let g = step.gate as usize;
+            match step.kind {
+                Kind::Cleanup => continue,
+                Kind::Produce => masters.push(MasterState {
+                    gate: step.gate,
+                    produced: st.produced[g],
+                    ack_delay: if step.ack_lo < step.end {
+                        st.consumer_delay[step.ack_lo as usize]
+                    } else {
+                        self.ticks.ee_master
+                    },
+                }),
+                _ => {}
+            }
+            if let Some(&w) = self.outs[step.out_lo as usize..step.out_hi as usize].first() {
+                values[g] = st.value[w as usize];
+            }
+        }
+        masters.sort_unstable_by_key(|m| m.gate);
+        SimCheckpoint {
+            fingerprint: netlist_fingerprint(self.pl),
+            last: st.last.clone(),
+            values,
+            masters,
+            latest: st.latest,
+            cursor: st.cursor.clone(),
+        }
+    }
+
+    /// Overwrites this schedule's state with a checkpoint's, so the next
+    /// [`LatencySchedule::feed`] continues the captured stream. Every
+    /// token slot is rebuilt by replaying the last round's writes and
+    /// consumptions from the per-gate ticks and values.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::CheckpointDigestMismatch`] if the checkpoint was taken
+    /// on another netlist.
+    pub fn restore(&mut self, ck: &SimCheckpoint) -> Result<(), SimError> {
+        let expected = netlist_fingerprint(self.pl);
+        if ck.fingerprint != expected {
+            return Err(SimError::CheckpointDigestMismatch {
+                what: "netlist fingerprint",
+                stored: ck.fingerprint,
+                expected,
+            });
+        }
+        self.reset();
+        let wire = self.ticks.wire;
+        let replay = ck.cursor.fed > 0;
+        let st = &mut self.state;
+        st.last.clone_from(&ck.last);
+        st.latest = ck.latest;
+        st.cursor = ck.cursor.clone();
+        for step in &self.steps {
+            let g = step.gate as usize;
+            let (lo, pin_end) = (step.lo as usize, step.pin_end as usize);
+            let (ack_lo, end) = (step.ack_lo as usize, step.end as usize);
+            let (fire, v, consumed) = match step.kind {
+                Kind::Produce => {
+                    let m = ck.masters[ck
+                        .masters
+                        .binary_search_by_key(&step.gate, |m| m.gate)
+                        .expect("a checkpoint of this netlist has every master")];
+                    st.produced[g] = m.produced;
+                    st.consumer_delay[ack_lo..end].fill(m.ack_delay);
+                    (m.produced, ck.values[g], ack_lo..end)
+                }
+                Kind::Cleanup => (st.last[g], false, lo..ack_lo),
+                Kind::Input => (st.last[g], ck.values[g], ack_lo..end),
+                Kind::Output => (st.last[g], ck.values[g], lo..pin_end),
+                Kind::Gate => (st.last[g], ck.values[g], lo..end),
+            };
+            if replay {
+                consume(&mut st.consumed[consumed], fire);
+                let at = fire.saturating_add(wire);
+                for &w in &self.outs[step.out_lo as usize..step.out_hi as usize] {
+                    st.tick[w as usize] = at;
+                    st.value[w as usize] = v;
+                }
+            }
+        }
+        if replay {
+            for &(slot, buffer) in &self.marked {
+                let (slot, buffer) = (slot as usize, buffer as usize);
+                st.tick[slot] = st.tick[buffer];
+                st.value[slot] = st.value[buffer];
+                st.tick[buffer] = NEVER;
+            }
+        }
+        Ok(())
+    }
+}
+
 impl Step {
     fn eval<L: LaneWord>(&self, pv: &L::PinVals) -> L {
         L::eval(self.bits, pv, self.full, self.const_mask, self.const_bits)
@@ -836,6 +1033,13 @@ impl<L: LaneWord> State<L> {
             }
         }
     }
+}
+
+/// The output slots that never fire in a round.
+fn missing_slots<L>(word: &[(u64, L)]) -> Vec<u32> {
+    (0..word.len() as u32)
+        .filter(|&s| word[s as usize].0 == NEVER)
+        .collect()
 }
 
 /// Keeps the earliest error by tick (the first one noted on a tie).
@@ -1382,6 +1586,115 @@ mod tests {
     #[test]
     fn lanes_wrong_arity_stops_at_the_feed() {
         stream_wrong_arity(StreamCase::lanes);
+    }
+
+    // ---- split streams: the cursor checkpointed at every vector ------------
+
+    /// A stream's `Result` with its timing as bits.
+    fn outcome_bits(
+        r: &Result<StreamOutcome, SimError>,
+    ) -> Result<(Vec<Vec<bool>>, u64, u64), SimError> {
+        r.clone()
+            .map(|o| (o.outputs, o.makespan.to_bits(), o.throughput.to_bits()))
+    }
+
+    /// Splits the stream after every vector: the live cursor is
+    /// snapshotted, encoded, decoded and restored into a fresh schedule,
+    /// whose state must equal the live one field for field, and which
+    /// feeds the rest. Every split returns exactly the unsplit `Result`.
+    fn assert_split_anywhere(
+        pl: &PlNetlist,
+        delays: &DelayModel,
+        vecs: &[Vec<bool>],
+        context: &str,
+    ) {
+        let Ok(mut whole) = LatencySchedule::<bool>::new(pl, delays.clone()) else {
+            return;
+        };
+        let want = outcome_bits(&whole.run_stream(vecs));
+        let mut live = LatencySchedule::<bool>::new(pl, delays.clone()).unwrap();
+        live.start_stream();
+        let mut words = Vec::new();
+        for split in 0..=vecs.len() {
+            let context = format!("{context}, split at {split}");
+            if split > 0 {
+                match live.feed(&vecs[split - 1..split]) {
+                    Ok(w) => words.extend(w),
+                    Err(e) => {
+                        assert_eq!(Err(e), want, "{context}: the feed's error");
+                        return;
+                    }
+                }
+            }
+            let bytes = live.snapshot().to_bytes(delays);
+            let ck = SimCheckpoint::from_bytes(&bytes, pl, delays)
+                .unwrap_or_else(|e| panic!("{context}: decode: {e}"));
+            let mut resumed = LatencySchedule::<bool>::new(pl, delays.clone()).unwrap();
+            resumed.restore(&ck).unwrap();
+            assert_eq!(resumed.state, live.state, "{context}: restored state");
+            let got = resumed.feed(&vecs[split..]).and_then(|rest| {
+                let mut all = words.clone();
+                all.extend(rest);
+                resumed.finish(all)
+            });
+            assert_eq!(outcome_bits(&got), want, "{context}");
+        }
+        assert_eq!(outcome_bits(&live.finish(words)), want, "{context}: live");
+    }
+
+    #[test]
+    fn split_stream_arc_removal_faults_match_unsplit() {
+        for (name, pl) in &fault_nets() {
+            let vecs = vectors(pl.input_gates().len(), 12);
+            for victim in 0..pl.arcs().len() {
+                let mut broken = pl.clone();
+                broken.inject_remove_arc(PlArcId::from_index(victim));
+                for delays in [DelayModel::default(), DelayModel::default().scaled(0.37)] {
+                    let context = format!("{name} without arc {victim}");
+                    assert_split_anywhere(&broken, &delays, &vecs, &context);
+                }
+            }
+        }
+    }
+
+    /// Always-firing triggers, with and without a malformed vector after
+    /// the stream: the pending error crosses every split.
+    #[test]
+    fn split_stream_unsound_triggers_match_unsplit() {
+        for sync in [ripple(4), accumulator()] {
+            let report = PlNetlist::from_sync(&sync)
+                .unwrap()
+                .with_early_evaluation(&EeOptions::default());
+            let pairs: Vec<_> = report
+                .pairs()
+                .iter()
+                .map(|p| (p.master, p.candidate.table.num_vars()))
+                .collect();
+            let pl = report.into_netlist();
+            let vecs = vectors(pl.input_gates().len(), 24);
+            let mut bad = vecs.clone();
+            bad.push(vec![true]);
+            for (master, arity) in pairs {
+                let mut broken = pl.clone();
+                broken.inject_trigger_table(master, TruthTable::ones(arity));
+                for delays in [DelayModel::default(), DelayModel::default().scaled(0.37)] {
+                    let context = format!("{} trigger on {master:?}", sync.name());
+                    assert_split_anywhere(&broken, &delays, &vecs, &context);
+                    assert_split_anywhere(&broken, &delays, &bad, &format!("{context}, then bad"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_stream_wrong_arity_matches_unsplit() {
+        let pl = PlNetlist::from_sync(&ripple(2)).unwrap();
+        for at in 0..4 {
+            let mut vecs = vectors(4, 3);
+            vecs.insert(at, vec![true]);
+            let context = format!("bad arity at {at}");
+            assert_split_anywhere(&pl, &DelayModel::default(), &vecs, &context);
+        }
     }
 
     #[test]

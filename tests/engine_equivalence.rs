@@ -27,7 +27,7 @@ use pl_core::{PlGateId, PlGateKind, PlNetlist};
 use pl_netlist::Netlist;
 use pl_sim::{
     DelayModel, FaultPlan, LaneSimulator, LaneWord, LatencySchedule, PlSimulator,
-    ReferenceSimulator, ResumableOptions, SimError,
+    ReferenceSimulator, ResumableOptions, SimCheckpoint, SimError,
 };
 use pl_techmap::{map_to_lut4, MapOptions};
 
@@ -399,61 +399,57 @@ fn parallel_sweep_bit_identical_on_random_netlists() {
 
 // ---- checkpoint/resume + resumable streamed-run determinism ------------
 //
-// The checkpoint subsystem (`pl_sim::SimCheckpoint`) must be invisible to
-// the simulation: a run resumed from a snapshot is bit-identical to the
-// uninterrupted run, and the crash-resumable streamed run built on it
-// (`pl_sim::sweep_resumable` — `run_stream` fed window by window with a
-// checkpoint at every boundary) must reproduce a fresh `run_stream`
-// exactly — outputs AND f64 makespans/throughputs compared bitwise — at
-// every window size, uninterrupted or killed after any journal append
-// and resumed.
+// A checkpoint (`pl_sim::SimCheckpoint`, the schedule's state between two
+// feeds) must be invisible to the simulation: a stream split at any
+// vector, encoded, decoded and restored into a fresh schedule returns
+// exactly the unsplit `run_stream` result, and the crash-resumable
+// streamed run built on it (`pl_sim::sweep_resumable` — the cursor fed
+// window by window with a checkpoint at every boundary) must reproduce
+// the event engine's `run_stream` exactly — outputs AND f64
+// makespans/throughputs compared bitwise — at every window size,
+// uninterrupted or killed after any journal append and resumed.
 
-/// Asserts that snapshotting `pl` after `split` vectors and resuming on a
-/// fresh simulator reproduces the uninterrupted per-vector run exactly,
-/// and that the snapshot did not perturb the snapshotted simulator.
+/// Asserts that splitting the schedule's stream of `vecs` after every
+/// vector — snapshot, wire encode, decode, restore into a fresh schedule,
+/// feed the rest — reproduces the unsplit `run_stream` exactly (words,
+/// makespan and throughput bits) under every delay model, and that the
+/// snapshots never perturb the split stream.
 fn assert_checkpoint_resume_identical(pl: &PlNetlist, vecs: &[Vec<bool>], context: &str) {
-    let delays = DelayModel::default();
-    let split = vecs.len() / 2;
-    let mut base = PlSimulator::new(pl, delays.clone()).expect("builds");
-    let reference: Vec<_> = vecs
-        .iter()
-        .map(|v| {
-            let r = base.run_vector(v).expect("simulates");
-            (r.outputs, r.latency.to_bits(), r.completed_at.to_bits())
-        })
-        .collect();
-
-    let mut first = PlSimulator::new(pl, delays.clone()).expect("builds");
-    for (v, expect) in vecs[..split].iter().zip(&reference) {
-        let r = first.run_vector(v).expect("simulates");
+    let bits = |o: pl_sim::StreamOutcome| (o.outputs, o.makespan.to_bits(), o.throughput.to_bits());
+    for (delays, name) in delay_models() {
+        let context = format!("{context}, {name}");
+        let want = LatencySchedule::<bool>::new(pl, delays.clone())
+            .expect("builds")
+            .run_stream(vecs)
+            .map(bits)
+            .unwrap_or_else(|e| panic!("{context}: streams: {e}"));
+        let mut live = LatencySchedule::<bool>::new(pl, delays.clone()).expect("builds");
+        live.start_stream();
+        let mut words = Vec::new();
+        for split in 0..=vecs.len() {
+            if split > 0 {
+                words.extend(live.feed(&vecs[split - 1..split]).expect("feeds"));
+            }
+            let bytes = live.snapshot().to_bytes(&delays);
+            let ck = SimCheckpoint::from_bytes(&bytes, pl, &delays)
+                .unwrap_or_else(|e| panic!("{context}: split at {split}: decode: {e}"));
+            assert_eq!(ck.rounds(), split as u64, "{context}: rounds miscounted");
+            let mut resumed = LatencySchedule::<bool>::new(pl, delays.clone()).expect("builds");
+            resumed.restore(&ck).expect("checkpoint restores");
+            let mut all = words.clone();
+            all.extend(resumed.feed(&vecs[split..]).expect("feeds"));
+            let got = resumed.finish(all).map(bits);
+            assert_eq!(
+                got.as_ref(),
+                Ok(&want),
+                "{context}: resumed after {split} vectors"
+            );
+        }
+        let got = live.finish(words).map(bits);
         assert_eq!(
-            &(r.outputs, r.latency.to_bits(), r.completed_at.to_bits()),
-            expect,
-            "{context}: prefix diverged before the snapshot"
-        );
-    }
-    let ck = first.snapshot();
-    assert_eq!(ck.rounds(), split as u64, "{context}: rounds miscounted");
-
-    let mut resumed =
-        PlSimulator::resume_from(pl, delays.clone(), &ck).expect("checkpoint resumes");
-    for (i, (v, expect)) in vecs[split..].iter().zip(&reference[split..]).enumerate() {
-        let r = resumed.run_vector(v).expect("simulates");
-        assert_eq!(
-            &(r.outputs, r.latency.to_bits(), r.completed_at.to_bits()),
-            expect,
-            "{context}: resumed run diverged at vector {}",
-            split + i
-        );
-    }
-    // The snapshot must be a pure read: the original continues identically.
-    for (i, (v, expect)) in vecs[split..].iter().zip(&reference[split..]).enumerate() {
-        let r = first.run_vector(v).expect("simulates");
-        assert_eq!(
-            &(r.outputs, r.latency.to_bits(), r.completed_at.to_bits()),
-            expect,
-            "{context}: snapshot perturbed the original at vector {}",
-            split + i
+            got.as_ref(),
+            Ok(&want),
+            "{context}: snapshots perturbed the stream"
         );
     }
 }
@@ -479,7 +475,9 @@ impl Drop for TempDir {
 /// `pl` at every window size given: for each possible journal-append
 /// count `k`, a run halted after `k` appends (or, at `k` = the window
 /// count, one that completes) and then resumed must equal the baseline —
-/// and so must the completing run itself.
+/// and so must the completing run itself. The sweep runs on the static
+/// schedule and the baseline on the event engine, so this is a
+/// cross-engine check.
 fn assert_resumable_matches_run_stream(
     pl: &PlNetlist,
     vecs: &[Vec<bool>],
@@ -541,7 +539,8 @@ fn assert_resumable_matches_run_stream(
     }
 }
 
-/// Checkpoint/resume across the full ITC'99 suite, plain and with EE.
+/// Checkpoint/resume across the full ITC'99 suite, plain and with EE, at
+/// three delay models.
 #[test]
 fn checkpoint_resume_bit_identical_on_itc99_suite() {
     for bench in pl_itc99::catalog() {
@@ -573,11 +572,10 @@ fn resumable_sweep_bit_identical_on_itc99_suite() {
     });
 }
 
-/// A resumable run's checkpoints hold only the output words not yet in
-/// the journal, so on a long b14 stream every `window-k.ck` stays within
-/// one window's records (`value u8 + tick u64` per output per vector in
-/// the scalar wire format) of `window-1.ck`, instead of growing with
-/// every word recorded so far.
+/// A resumable run's checkpoints hold the schedule's state between two
+/// rounds, which depends on the netlist only: on a long b14 stream every
+/// `window-k.ck` has exactly the size of `window-1.ck`, however many words
+/// were recorded before it.
 #[test]
 fn resumable_checkpoints_stay_bounded_on_b14() {
     let (plain, ee) = itc99_netlists("b14");
@@ -601,20 +599,18 @@ fn resumable_checkpoints_stay_bounded_on_b14() {
                 .unwrap_or_else(|e| panic!("{variant}: window-{k}.ck: {e}"))
                 .len()
         };
-        let one_window = (window * pl.output_gates().len() * 9) as u64;
-        let bound = size(1) + one_window;
         for k in 2..32 {
-            assert!(
-                size(k) <= bound,
-                "{variant}: window-{k}.ck is {} bytes, over window-1.ck + one window = {bound}",
-                size(k)
+            assert_eq!(
+                size(k),
+                size(1),
+                "{variant}: window-{k}.ck differs in size from window-1.ck"
             );
         }
     }
 }
 
 /// Randomized netlists through the checkpoint harness and the resumable
-/// streamed (pipelined) run, killed after every possible journal append.
+/// streamed run, killed after every possible journal append.
 #[test]
 fn checkpoint_and_pipelined_bit_identical_on_random_netlists() {
     let mut rng = Lcg::new(0xC4EC_4501_21D0_0003);

@@ -9,7 +9,9 @@ use pl_core::ee::EeOptions;
 use pl_core::marked::{check_liveness, check_safety};
 use pl_core::{PlArcKind, PlError, PlNetlist};
 use pl_netlist::Netlist;
-use pl_sim::{DelayModel, FaultPlan, PlSimulator, ResumableOptions, SimCheckpoint, SimError};
+use pl_sim::{
+    DelayModel, FaultPlan, LatencySchedule, PlSimulator, ResumableOptions, SimCheckpoint, SimError,
+};
 
 fn small_pipeline() -> Netlist {
     let mut n = Netlist::new("pipe");
@@ -221,16 +223,17 @@ impl Drop for TempDir {
     }
 }
 
-/// A mid-stream checkpoint of the ripple carry chain with a busy event
-/// queue (vectors injected but not yet collected).
+/// A mid-stream checkpoint of the ripple carry chain, with early
+/// evaluation so every section of the encoding is populated.
 fn mid_stream_checkpoint(pl: &PlNetlist) -> SimCheckpoint {
-    let mut sim = PlSimulator::new(pl, DelayModel::default()).unwrap();
+    let mut s = LatencySchedule::new(pl, DelayModel::default()).unwrap();
+    s.start_stream();
     let n_inputs = pl.input_gates().len();
-    for k in 0..3u32 {
-        let v: Vec<bool> = (0..n_inputs).map(|i| (k >> (i % 8)) & 1 == 1).collect();
-        sim.feed_vector(&v).unwrap();
-    }
-    sim.snapshot()
+    let vecs: Vec<Vec<bool>> = (0..3u32)
+        .map(|k| (0..n_inputs).map(|i| (k >> (i % 8)) & 1 == 1).collect())
+        .collect();
+    s.feed(&vecs).unwrap();
+    s.snapshot()
 }
 
 /// Every corruption class of the checkpoint wire format maps to its own
@@ -239,44 +242,50 @@ fn mid_stream_checkpoint(pl: &PlNetlist) -> SimCheckpoint {
 /// and none of them panics.
 #[test]
 fn corrupt_checkpoint_bytes_are_rejected_typed() {
-    let pl = PlNetlist::from_sync(&ripple(4)).unwrap();
+    let pl = PlNetlist::from_sync(&ripple(4))
+        .unwrap()
+        .with_early_evaluation(&EeOptions::default())
+        .into_netlist();
     let delays = DelayModel::default();
     let bytes = mid_stream_checkpoint(&pl).to_bytes(&delays);
-    SimCheckpoint::<bool>::from_bytes(&bytes, &pl, &delays).expect("pristine bytes decode");
+    SimCheckpoint::from_bytes(&bytes, &pl, &delays).expect("pristine bytes decode");
 
     // A cut inside the fixed magic+version header is reported as
     // truncation; a longer cut still carries a (stale) trailer and is
     // caught by the whole-file CRC instead — rejected either way.
     assert!(matches!(
-        SimCheckpoint::<bool>::from_bytes(&bytes[..7], &pl, &delays),
+        SimCheckpoint::from_bytes(&bytes[..7], &pl, &delays),
         Err(SimError::CheckpointTruncated { .. })
     ));
     assert!(matches!(
-        SimCheckpoint::<bool>::from_bytes(&bytes[..bytes.len() / 2], &pl, &delays),
+        SimCheckpoint::from_bytes(&bytes[..bytes.len() / 2], &pl, &delays),
         Err(SimError::CheckpointTruncated { .. } | SimError::CheckpointChecksum { .. })
     ));
 
     let mut bad_magic = bytes.clone();
     bad_magic[0] ^= 0xFF;
     assert!(matches!(
-        SimCheckpoint::<bool>::from_bytes(&bad_magic, &pl, &delays),
+        SimCheckpoint::from_bytes(&bad_magic, &pl, &delays),
         Err(SimError::CheckpointBadMagic { .. })
     ));
 
     // The version field sits right after the 8-byte magic; a skew there
-    // is reported as such (before any CRC, so no repair needed).
-    let mut skewed = bytes.clone();
-    skewed[8] = 0xEE;
-    assert!(matches!(
-        SimCheckpoint::<bool>::from_bytes(&skewed, &pl, &delays),
-        Err(SimError::CheckpointVersionSkew { .. })
-    ));
+    // is reported as such (before any CRC, so no repair needed) — the
+    // event engine's version-1 and version-2 files included.
+    for version in [0xEE, 1, 2] {
+        let mut skewed = bytes.clone();
+        skewed[8] = version;
+        assert!(matches!(
+            SimCheckpoint::from_bytes(&skewed, &pl, &delays),
+            Err(SimError::CheckpointVersionSkew { found, .. }) if found == u32::from(version)
+        ));
+    }
 
     let mut flipped = bytes.clone();
     let mid = bytes.len() / 2;
     flipped[mid] ^= 0x10;
     assert!(matches!(
-        SimCheckpoint::<bool>::from_bytes(&flipped, &pl, &delays),
+        SimCheckpoint::from_bytes(&flipped, &pl, &delays),
         Err(SimError::CheckpointChecksum { .. })
     ));
 
@@ -284,7 +293,7 @@ fn corrupt_checkpoint_bytes_are_rejected_typed() {
     // refuses the replay.
     let other = PlNetlist::from_sync(&small_pipeline()).unwrap();
     assert!(matches!(
-        SimCheckpoint::<bool>::from_bytes(&bytes, &other, &delays),
+        SimCheckpoint::from_bytes(&bytes, &other, &delays),
         Err(SimError::CheckpointDigestMismatch { .. })
     ));
 }

@@ -1,13 +1,15 @@
 //! Property-based tests of the checkpoint wire format
-//! (`pl_sim::checkpoint::wire`): encode→decode identity on mid-stream
-//! snapshots of random circuits, and typed rejection — never a panic —
-//! under random corruption (byte flips, truncation, garbage, wrong
-//! delay model).
+//! (`pl_sim::checkpoint::wire`, version 3): encode→decode identity on
+//! mid-stream snapshots of the static schedule on random circuits, with
+//! and without early evaluation, and typed rejection — never a panic —
+//! under random corruption (byte flips, truncation, garbage, wrong delay
+//! model, oversized lengths and counts).
 
 use pl_boolfn::TruthTable;
+use pl_core::ee::EeOptions;
 use pl_core::PlNetlist;
 use pl_netlist::{Netlist, NodeId};
-use pl_sim::{DelayModel, PlSimulator, SimCheckpoint, SimError};
+use pl_sim::{DelayModel, LatencySchedule, SimCheckpoint, SimError};
 use pl_techmap::{map_to_lut4, MapOptions};
 use proptest::prelude::*;
 
@@ -35,8 +37,8 @@ fn crc32_check_value() {
 }
 
 /// Byte offsets of each section's length field (the u64 right after the
-/// tag byte) in a pristine encoding, in wire order: HEADER, STATE,
-/// QUEUE, ARCS, GATES, RECORDS.
+/// tag byte) in a pristine encoding, in wire order: HEADER, CURSOR,
+/// GATES, MASTERS.
 fn section_len_offsets(bytes: &[u8]) -> Vec<usize> {
     let mut offsets = Vec::new();
     let mut pos = 12; // magic (8) + version (4)
@@ -60,7 +62,7 @@ fn refix_trailer(bytes: &mut [u8]) {
 
 /// Recipe for one random synchronous circuit (same scheme as
 /// `prop_flow`, scaled down: the wire format is shape-generic, the
-/// interesting variation is queue/record content, not netlist size).
+/// interesting variation is the state's content, not netlist size).
 #[derive(Debug, Clone)]
 struct CircuitRecipe {
     num_inputs: usize,
@@ -115,10 +117,9 @@ fn build(recipe: &CircuitRecipe) -> Netlist {
     n
 }
 
-/// Materializes a recipe into a PL netlist and snapshots a simulator
-/// mid-stream: `n_feed` vectors injected without collecting rounds, so
-/// the checkpoint holds a non-trivial event queue, in-flight tokens and
-/// partially-filled output records — the hardest state to round-trip.
+/// Materializes a recipe into a PL netlist — with early evaluation when
+/// `seed` is odd — and snapshots the schedule's stream after `n_feed`
+/// vectors: per-gate ticks and values, master states and the cursor.
 fn mid_stream(
     recipe: &CircuitRecipe,
     n_feed: usize,
@@ -127,16 +128,24 @@ fn mid_stream(
     let sync = build(recipe);
     sync.validate().ok()?;
     let mapped = map_to_lut4(&sync, &MapOptions::default()).ok()?;
-    let pl = PlNetlist::from_sync(&mapped).ok()?;
-    let mut sim = PlSimulator::new(&pl, DelayModel::default()).ok()?;
-    let n_inputs = pl.input_gates().len();
-    for k in 0..n_feed {
-        let v: Vec<bool> = (0..n_inputs)
-            .map(|i| (seed >> ((k * 7 + i) % 64)) & 1 == 1)
-            .collect();
-        sim.feed_vector(&v).ok()?;
+    let mut pl = PlNetlist::from_sync(&mapped).ok()?;
+    if seed & 1 == 1 {
+        pl = pl
+            .with_early_evaluation(&EeOptions::default())
+            .into_netlist();
     }
-    let ck = sim.snapshot();
+    let mut s = LatencySchedule::new(&pl, DelayModel::default()).ok()?;
+    s.start_stream();
+    let n_inputs = pl.input_gates().len();
+    let vecs: Vec<Vec<bool>> = (0..n_feed)
+        .map(|k| {
+            (0..n_inputs)
+                .map(|i| (seed >> ((k * 7 + i) % 64)) & 1 == 1)
+                .collect()
+        })
+        .collect();
+    s.feed(&vecs).ok()?;
+    let ck = s.snapshot();
     Some((pl, ck))
 }
 
@@ -144,7 +153,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Encode→decode is the identity on mid-stream snapshots of random
-    /// circuits (full dynamic state: queue, tokens, records, counters).
+    /// circuits (the whole state: gates, masters, cursor).
     #[test]
     fn roundtrip_is_identity(recipe in arb_recipe(), n_feed in 1usize..6, seed in any::<u64>()) {
         let built = mid_stream(&recipe, n_feed, seed);
@@ -175,7 +184,7 @@ proptest! {
         let pos = pos_sel % bytes.len();
         bytes[pos] ^= mask;
         prop_assert!(
-            SimCheckpoint::<bool>::from_bytes(&bytes, &pl, &delays).is_err(),
+            SimCheckpoint::from_bytes(&bytes, &pl, &delays).is_err(),
             "flip at byte {pos} (mask {mask:#04x}) decoded successfully"
         );
     }
@@ -191,7 +200,7 @@ proptest! {
         let bytes = ck.to_bytes(&delays);
         let len = len_sel % bytes.len(); // strictly shorter than the full encoding
         prop_assert!(
-            SimCheckpoint::<bool>::from_bytes(&bytes[..len], &pl, &delays).is_err(),
+            SimCheckpoint::from_bytes(&bytes[..len], &pl, &delays).is_err(),
             "truncation to {len} of {} bytes decoded successfully",
             bytes.len()
         );
@@ -204,7 +213,7 @@ proptest! {
         prop_assume!(built.is_some());
         let (pl, _) = built.unwrap();
         let delays = DelayModel::default();
-        prop_assert!(SimCheckpoint::<bool>::from_bytes(&bytes, &pl, &delays).is_err());
+        prop_assert!(SimCheckpoint::from_bytes(&bytes, &pl, &delays).is_err());
     }
 
     /// A pristine encoding refuses to decode under a different delay
@@ -218,7 +227,7 @@ proptest! {
         let delays = DelayModel::default();
         let bytes = ck.to_bytes(&delays);
         let skewed = delays.scaled(f64::from(scale));
-        prop_assert!(SimCheckpoint::<bool>::from_bytes(&bytes, &pl, &skewed).is_err());
+        prop_assert!(SimCheckpoint::from_bytes(&bytes, &pl, &skewed).is_err());
     }
 
     /// An absurd section length — larger than the file, larger than any
@@ -251,7 +260,7 @@ proptest! {
         };
         bytes[at..at + 8].copy_from_slice(&huge.to_le_bytes());
         refix_trailer(&mut bytes);
-        match SimCheckpoint::<bool>::from_bytes(&bytes, &pl, &delays) {
+        match SimCheckpoint::from_bytes(&bytes, &pl, &delays) {
             Err(SimError::CheckpointTruncated { .. }) => {}
             other => prop_assert!(
                 false,
@@ -260,11 +269,12 @@ proptest! {
         }
     }
 
-    /// An absurd element count inside a section payload (here the queue
-    /// event count, the first u64 of SEC_QUEUE) is rejected as typed
-    /// out-of-range before any allocation sized by it — both the section
-    /// CRC and the trailer are re-fixed so only the count check can
-    /// catch it.
+    /// An absurd element count inside a section payload is rejected as
+    /// typed out-of-range before any allocation sized by it — both the
+    /// section CRC and the trailer are re-fixed so only the count check
+    /// can catch it. The count is the master count, the first u64 of
+    /// MASTERS (versions 1 and 2 had a queued-event count there, whence
+    /// the name).
     #[test]
     fn oversized_queue_count_is_rejected(
         recipe in arb_recipe(),
@@ -277,12 +287,12 @@ proptest! {
         let delays = DelayModel::default();
         let mut bytes = ck.to_bytes(&delays);
         let offsets = section_len_offsets(&bytes);
-        let len_at = offsets[2]; // QUEUE is the third section
+        let len_at = offsets[3]; // MASTERS is the fourth section
         let len = u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().expect("8 bytes"))
             as usize;
         let payload = len_at + 8..len_at + 8 + len;
         // Saturate the count far past what the payload could hold: the
-        // in-bounds limit is at most `len / 21` events, so any value of
+        // in-bounds limit is at most `len / 20` masters, so any value of
         // at least `len` is guaranteed out of range.
         let count_at = payload.start;
         bytes[count_at..count_at + 8]
@@ -290,11 +300,11 @@ proptest! {
         let crc = crc32(&bytes[payload.clone()]);
         bytes[payload.end..payload.end + 4].copy_from_slice(&crc.to_le_bytes());
         refix_trailer(&mut bytes);
-        match SimCheckpoint::<bool>::from_bytes(&bytes, &pl, &delays) {
+        match SimCheckpoint::from_bytes(&bytes, &pl, &delays) {
             Err(SimError::CheckpointOutOfRange { .. }) => {}
             other => prop_assert!(
                 false,
-                "queue count +{excess}: expected CheckpointOutOfRange, got {other:?}"
+                "master count +{excess}: expected CheckpointOutOfRange, got {other:?}"
             ),
         }
     }
